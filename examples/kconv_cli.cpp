@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/strutil.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/conv_api.hpp"
 #include "src/obs/telemetry_report.hpp"
@@ -106,13 +107,11 @@ void print_usage(std::FILE* to, const char* argv0) {
       "                (exit 3 on any mismatch)\n"
       "  --serve       run the layer-graph serving driver instead of one\n"
       "                convolution: queues --requests requests against\n"
-      "                --network (lenet | vgg-tiny) and reports batching,\n"
-      "                cold/warm/analytic counts, and fusion savings\n"
-      "                (MODEL.md §8); honors --threads, --plan-cache,\n"
-      "                --analytic, and --json\n"
+      "                --network and reports batching, cold/warm/analytic\n"
+      "                counts, and fusion savings (MODEL.md §8); honors\n"
+      "                --threads, --plan-cache, --analytic, and --json\n"
       "  --network NAME\n"
-      "                network served by --serve (lenet | lenet-wide |\n"
-      "                vgg-tiny)\n"
+      "                network served by --serve (%s)\n"
       "  --requests N  requests to queue in --serve mode (default 4)\n"
       "  --no-fuse     disable the fused conv+bias+ReLU epilogue in --serve\n"
       "                mode (outputs are bit-identical either way)\n"
@@ -134,7 +133,7 @@ void print_usage(std::FILE* to, const char* argv0) {
       "                write a Chrome trace-event / Perfetto JSON timeline\n"
       "                (implies --profile; open in ui.perfetto.dev)\n"
       "  --help        print this message and exit\n",
-      argv0);
+      argv0, join(serve::network_names(), " | ").c_str());
 }
 
 [[noreturn]] void usage(const char* argv0) {

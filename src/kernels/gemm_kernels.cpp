@@ -244,6 +244,17 @@ GemmConfig gemm_magma_mod() {
   return c;
 }
 
+GemmConfig gemm_matvec() {
+  GemmConfig c;
+  c.bm = 16;
+  c.bn = 2;  // one vector-width column: B is K x 1
+  c.bk = 8;
+  c.tm = 2;
+  c.tn = 2;
+  c.vec_width = 0;  // matched
+  return c;
+}
+
 GemmRun gemm(sim::Device& dev, const tensor::Matrix& a,
              const tensor::Matrix& b, const GemmConfig& cfg,
              const sim::LaunchOptions& opt) {

@@ -11,6 +11,12 @@
 //  - gemm_magma_mod(): the paper's modification — same kernel, fragments
 //    read as float2 so W_CD = W_SMB again.
 //
+// A fourth preset applies the same lesson to a different shape:
+//  - gemm_matvec(): a GEMV-sized tile (16x2, 2x2 micro-tiles, matched
+//    fragments, 8 threads) for the M x K * K x 1 dense layer, where a 64x64
+//    tile would run 256 threads to produce a 10x1 corner. Every output still
+//    sums over k in the same order, so C is bit-identical to the 64x64 tile.
+//
 // A tiles are stored transposed in SM (shA[k][m]) with one bank word of
 // padding per row to keep the transposing stores conflict-free.
 #pragma once
@@ -36,6 +42,7 @@ struct GemmConfig {
 GemmConfig gemm_cublas_like();
 GemmConfig gemm_magma_fermi();
 GemmConfig gemm_magma_mod();
+GemmConfig gemm_matvec();
 
 struct GemmRun {
   sim::LaunchResult launch;

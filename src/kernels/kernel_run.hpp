@@ -10,7 +10,8 @@
 // launch() then schedules one representative per class and fast-forwards
 // the rest (docs/MODEL.md §5b); kernels without the hook always take the
 // exact legacy path. GeneralConv, SpecialConv (including the short-dtype
-// variants) and ImplicitGemmConv declare it.
+// variants), ImplicitGemmConv and the max-pool / bias+ReLU row kernels
+// declare it.
 #pragma once
 
 #include "src/sim/launch.hpp"

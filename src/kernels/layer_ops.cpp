@@ -9,10 +9,23 @@ namespace kconv::kernels {
 
 namespace {
 
+constexpr i64 kRowBlock = 128;  // threads per block, along x
+
+/// Block equivalence class for trace replay (docs/MODEL.md §5b), shared by
+/// both row kernels: every block covers kRowBlock pixels of one output row,
+/// so the only block-dependent predicate is `x < width`. It is always true
+/// except in the last x-block of a ragged row, the one flavor whose mask
+/// differs; the row and channel coordinate shift addresses only.
+u64 row_block_class(sim::Dim3 b, i64 width) {
+  return (static_cast<i64>(b.x) + 1) * kRowBlock > width ? 1u : 0u;
+}
+
 class MaxPoolKernel {
  public:
   PlanesView in;   // (C, H, W)
   PlanesView out;  // (C, H/2, W/2)
+
+  u64 replay_class(sim::Dim3 b) const { return row_block_class(b, out.w); }
 
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
     const i64 x = static_cast<i64>(t.block_idx.x) * t.block_dim.x +
@@ -38,6 +51,8 @@ class BiasReluKernel {
   PlanesView in;
   PlanesView out;
   sim::BufferView<float> bias;  // C
+
+  u64 replay_class(sim::Dim3 b) const { return row_block_class(b, in.w); }
 
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
     const i64 x = static_cast<i64>(t.block_idx.x) * t.block_dim.x +
@@ -93,8 +108,8 @@ KernelRun max_pool_2x2(sim::Device& dev, const tensor::Tensor& input,
   k.out = d_out.view();
 
   sim::LaunchConfig lc;
-  lc.block = sim::Dim3{128, 1, 1};
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, 128)),
+  lc.block = sim::Dim3{static_cast<u32>(kRowBlock), 1, 1};
+  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(Wo, kRowBlock)),
                       static_cast<u32>(C * Ho), 1};
   lc.regs_per_thread = 16;
 
@@ -142,8 +157,8 @@ KernelRun bias_relu(sim::Device& dev, const tensor::Tensor& input,
   k.bias = d_bias.view();
 
   sim::LaunchConfig lc;
-  lc.block = sim::Dim3{128, 1, 1};
-  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(W, 128)),
+  lc.block = sim::Dim3{static_cast<u32>(kRowBlock), 1, 1};
+  lc.grid = sim::Dim3{static_cast<u32>(ceil_div(W, kRowBlock)),
                       static_cast<u32>(C * H), 1};
   lc.regs_per_thread = 12;
 

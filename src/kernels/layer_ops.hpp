@@ -5,7 +5,9 @@
 // serving graph runner can execute a complete CNN forward pass
 // (conv -> bias/ReLU -> pool -> ... -> FC) through the library, the way a
 // framework would consume it. Both are simple memory-bound kernels with
-// coalesced access.
+// coalesced access, one 128-thread block per row segment; both declare a
+// replay_class hook (an x-edge flag), so replay launches capture one block
+// per class and fast-forward the rest.
 //
 // Both ops accept full (N, C, H, W) batches: an NCHW batch is
 // layout-identical to a single (N*C)-plane image, so the batched op is the

@@ -293,11 +293,14 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
     }
   }
 
-  // Non-conv kernels have no replay classes: they always execute directly.
+  // Non-conv kernels: pool and bias+ReLU replay their row blocks in-launch
+  // when replay is on (the dense GEMV has no hook). None of them use the
+  // plan store, and all of them must produce data, so the analytic flag
+  // stays with the convs.
   const bool analytic_mode = opt.launch.analytic;
   sim::LaunchOptions aux = opt.launch;
   aux.analytic = false;
-  aux.replay = false;
+  aux.plan_cache = nullptr;
   // Fleet sharding applies to the conv launches (which declare shard-axis
   // hints); the epilogue kernels are a rounding error of the graph's work
   // and run single-device.
@@ -471,8 +474,8 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
           xin.data[static_cast<std::size_t>(f)] =
               x.flat()[static_cast<std::size_t>(f)];
         }
-        auto fc = kernels::gemm(dev, n.weights, xin,
-                                kernels::gemm_magma_mod(), scoped(aux));
+        auto fc = kernels::gemm(dev, n.weights, xin, kernels::gemm_matvec(),
+                                scoped(aux));
         run.total_seconds += fc.launch.timing.seconds;
         NodeRun nr;
         nr.kind = n.kind;

@@ -18,8 +18,10 @@
 //
 //  * FAST PATHS — the LaunchOptions are forwarded to every conv launch, so a
 //    shared PlanCache turns warm traffic into §5d warm-replay or
-//    pure-analytic launches. Non-conv kernels have no replay classes; they
-//    always execute directly (and never see the analytic flag).
+//    pure-analytic launches. Pool and bias+ReLU declare replay classes and
+//    replay their row blocks in-launch; they never touch the plan store or
+//    see the analytic flag. The dense layer runs the GEMV-shaped
+//    gemm_matvec() tile.
 #pragma once
 
 #include <string>
@@ -109,8 +111,8 @@ std::string validate_arena_plan(const Graph& g, const ArenaPlan& p);
 struct GraphRunOptions {
   /// Fold conv -> bias+ReLU pairs into the conv's write-back epilogue.
   bool fuse = true;
-  /// Forwarded to every launch; `analytic` applies to conv nodes only (the
-  /// other kernels have no replay classes and reject the flag).
+  /// Forwarded to every launch; `analytic` and `plan_cache` apply to conv
+  /// nodes only (the other kernels must produce data, and replay in-launch).
   sim::LaunchOptions launch;
 };
 

@@ -57,8 +57,8 @@ Network make_lenet_wide(u64 seed) {
   x = g.add_max_pool(x, "pool_1");            // 32 -> 16
   x = conv_block(g, rng, x, 96, 48, 5, "2");  // 16 -> 12, general case
   x = g.add_max_pool(x, "pool_2");            // 12 -> 6
-  // An extra pool keeps the FC layer small: dense/pool/bias have no replay
-  // hooks, so their cost is the floor under every warm serving mode.
+  // An extra pool keeps the FC layer small: the dense layer has no replay
+  // hook, so its cost is part of the floor under every warm serving mode.
   x = g.add_max_pool(x, "pool_3");            // 6 -> 3
   g.add_dense(x, random_dense(rng, 10, 96 * 3 * 3), "fc");
   return net;
@@ -90,10 +90,8 @@ Network make_network(std::string_view name, u64 seed) {
   if (name == "lenet-wide") return make_lenet_wide(seed);
   if (name == "vgg-tiny") return make_vgg_tiny(seed);
   const std::string n(name);
-  KCONV_CHECK(false,
-              strf("unknown network '%s' (known: lenet, lenet-wide, "
-                   "vgg-tiny)",
-                   n.c_str()));
+  KCONV_CHECK(false, strf("unknown network '%s' (known: %s)", n.c_str(),
+                          join(network_names(), ", ").c_str()));
   return {};
 }
 

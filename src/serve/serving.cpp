@@ -55,28 +55,27 @@ std::vector<ServeReply> ServingDriver::drain() {
   }
   if (work.empty()) return {};
 
-  // Batch by (network, input shape) in first-appearance order; requests
-  // keep their queue order inside a batch.
+  // Batch by (network, input shape) in first-appearance order.
   struct Batch {
     const Network* net;
     Shape shape;
-    std::vector<std::size_t> members;  // indices into `work`
+    std::size_t requests;
   };
   std::vector<Batch> batches;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    const Shape s{work[i].input.c(), work[i].input.h(), work[i].input.w()};
+  for (const Pending& p : work) {
+    const Shape s{p.input.c(), p.input.h(), p.input.w()};
     Batch* home = nullptr;
     for (Batch& b : batches) {
-      if (b.net == work[i].net && b.shape == s) {
+      if (b.net == p.net && b.shape == s) {
         home = &b;
         break;
       }
     }
     if (home == nullptr) {
-      batches.push_back(Batch{work[i].net, s, {}});
+      batches.push_back(Batch{p.net, s, 0});
       home = &batches.back();
     }
-    home->members.push_back(i);
+    ++home->requests;
   }
 
   GraphRunOptions gopt;
@@ -88,72 +87,68 @@ std::vector<ServeReply> ServingDriver::drain() {
 
   obs::TelemetrySink* const sink = opt_.telemetry;
   std::vector<ServeReply> replies(work.size());
-  std::vector<u64> fused(work.size(), 0);
-  std::vector<double> gm_eliminated(work.size(), 0.0);
-  std::vector<GraphRun> fleet_runs(work.size());
+  // Per-request counters of the graph run (outputs moved into the replies,
+  // node records dropped), merged in request-index order below.
+  std::vector<GraphRun> runs(work.size());
   ServeStats delta;
+  delta.batches = batches.size();
   delta.max_inflight_batches = batches.size();
-  for (const Batch& batch : batches) {
-    ++delta.batches;
-    u64 batch_span = 0;
-    if (sink != nullptr) {
-      batch_span = sink->begin_span(
+
+  // Every request of the drain runs in one work-stealing job, in queue
+  // order, so a round costs its slowest worker rather than the sum of its
+  // batches. Batches remain a grouping for the stats and the telemetry:
+  // their spans all cover the whole job, and close in reverse so they nest
+  // on the driver's lane.
+  std::vector<u64> batch_spans;
+  if (sink != nullptr) {
+    for (const Batch& batch : batches) {
+      batch_spans.push_back(sink->begin_span(
           0, 0, "serving",
           strf("batch %s %lldx%lldx%lld", batch.net->name.c_str(),
                static_cast<long long>(batch.shape.c),
                static_cast<long long>(batch.shape.h),
                static_cast<long long>(batch.shape.w)),
-          strf("{\"requests\":%zu}", batch.members.size()));
+          strf("{\"requests\":%zu}", batch.requests)));
     }
-    // One simulated device per request: requests are independent and the
-    // simulator is deterministic, so results do not depend on which worker
-    // (or how many workers) ran them.
-    pool_.parallel_for(
-        0, batch.members.size(), 1, [&](u64 begin, u64 end, u32) {
-          for (u64 m = begin; m < end; ++m) {
-            const Pending& p = work[batch.members[m]];
-            u64 exec_span = 0;
-            GraphRunOptions g = gopt;
-            if (sink != nullptr) {
-              sink->end_span(p.queued_span);
-              exec_span = sink->begin_span(p.id + 1, p.request_span,
-                                           "serving", "execute");
-              g.launch.telemetry =
-                  obs::TelemetryScope{sink, p.id + 1, exec_span};
-            }
-            const auto t0 = std::chrono::steady_clock::now();
-            sim::Device dev(sim::kepler_k40m());
-            GraphRun r = run_graph(dev, p.net->graph, p.input, g);
-            const auto t1 = std::chrono::steady_clock::now();
-            ServeReply& reply = replies[batch.members[m]];
-            reply.id = p.id;
-            reply.ok = r.output_valid;
-            reply.warm = r.warm;
-            reply.analytic = r.analytic;
-            reply.sim_seconds = r.total_seconds;
-            reply.host_seconds =
-                std::chrono::duration<double>(t1 - t0).count();
-            reply.output = std::move(r.output);
-            fused[batch.members[m]] = r.fused_pairs;
-            gm_eliminated[batch.members[m]] = r.fusion_gm_bytes_eliminated;
-            GraphRun& fr = fleet_runs[batch.members[m]];
-            fr.fleet_h2d_bytes = r.fleet_h2d_bytes;
-            fr.fleet_d2h_bytes = r.fleet_d2h_bytes;
-            fr.fleet_d2d_bytes = r.fleet_d2d_bytes;
-            fr.fleet_transfer_seconds = r.fleet_transfer_seconds;
-            fr.conv_launches = r.conv_launches;
-            fr.plan_taxonomy = r.plan_taxonomy;
-            fr.fleet_device_chunks = r.fleet_device_chunks;
-            fr.comm_bound_devices = r.comm_bound_devices;
-            fr.arena_slot_reuses = r.arena_slot_reuses;
-            fr.arena_peak_bytes = r.arena_peak_bytes;
-            if (sink != nullptr) {
-              sink->end_span(exec_span);
-              sink->end_span(p.request_span);
-            }
-          }
-        });
-    if (sink != nullptr) sink->end_span(batch_span);
+  }
+  // One simulated device per request: requests are independent and the
+  // simulator is deterministic, so results do not depend on which worker
+  // (or how many workers) ran them.
+  pool_.parallel_for(0, work.size(), 1, [&](u64 begin, u64 end, u32) {
+    for (u64 i = begin; i < end; ++i) {
+      const Pending& p = work[i];
+      u64 exec_span = 0;
+      GraphRunOptions g = gopt;
+      if (sink != nullptr) {
+        sink->end_span(p.queued_span);
+        exec_span =
+            sink->begin_span(p.id + 1, p.request_span, "serving", "execute");
+        g.launch.telemetry = obs::TelemetryScope{sink, p.id + 1, exec_span};
+      }
+      const auto t0 = std::chrono::steady_clock::now();
+      sim::Device dev(sim::kepler_k40m());
+      GraphRun r = run_graph(dev, p.net->graph, p.input, g);
+      const auto t1 = std::chrono::steady_clock::now();
+      ServeReply& reply = replies[i];
+      reply.id = p.id;
+      reply.ok = r.output_valid;
+      reply.warm = r.warm;
+      reply.analytic = r.analytic;
+      reply.sim_seconds = r.total_seconds;
+      reply.host_seconds = std::chrono::duration<double>(t1 - t0).count();
+      reply.output = std::move(r.output);
+      r.nodes = {};
+      runs[i] = std::move(r);
+      if (sink != nullptr) {
+        sink->end_span(exec_span);
+        sink->end_span(p.request_span);
+      }
+    }
+  });
+  if (sink != nullptr) {
+    for (auto it = batch_spans.rbegin(); it != batch_spans.rend(); ++it) {
+      sink->end_span(*it);
+    }
   }
   // Request-index order: every merge below (stats and the telemetry
   // registry alike) is deterministic across worker-thread counts (§5a).
@@ -170,19 +165,20 @@ std::vector<ServeReply> ServingDriver::drain() {
       ++delta.cold;
       mode = "cold";
     }
-    delta.fused_pairs += fused[i];
-    delta.fusion_gm_bytes_eliminated += gm_eliminated[i];
-    delta.fleet_h2d_bytes += fleet_runs[i].fleet_h2d_bytes;
-    delta.fleet_d2h_bytes += fleet_runs[i].fleet_d2h_bytes;
-    delta.fleet_d2d_bytes += fleet_runs[i].fleet_d2d_bytes;
-    delta.fleet_transfer_seconds += fleet_runs[i].fleet_transfer_seconds;
-    delta.conv_launches += fleet_runs[i].conv_launches;
-    delta.plan_taxonomy += fleet_runs[i].plan_taxonomy;
-    delta.fleet_device_chunks += fleet_runs[i].fleet_device_chunks;
-    delta.comm_bound_devices += fleet_runs[i].comm_bound_devices;
-    delta.arena_slot_reuses += fleet_runs[i].arena_slot_reuses;
+    const GraphRun& r = runs[i];
+    delta.fused_pairs += r.fused_pairs;
+    delta.fusion_gm_bytes_eliminated += r.fusion_gm_bytes_eliminated;
+    delta.fleet_h2d_bytes += r.fleet_h2d_bytes;
+    delta.fleet_d2h_bytes += r.fleet_d2h_bytes;
+    delta.fleet_d2d_bytes += r.fleet_d2d_bytes;
+    delta.fleet_transfer_seconds += r.fleet_transfer_seconds;
+    delta.conv_launches += r.conv_launches;
+    delta.plan_taxonomy += r.plan_taxonomy;
+    delta.fleet_device_chunks += r.fleet_device_chunks;
+    delta.comm_bound_devices += r.comm_bound_devices;
+    delta.arena_slot_reuses += r.arena_slot_reuses;
     delta.arena_peak_bytes =
-        std::max(delta.arena_peak_bytes, fleet_runs[i].arena_peak_bytes);
+        std::max(delta.arena_peak_bytes, r.arena_peak_bytes);
     delta.latency.add(replies[i].host_seconds);
     delta.sim_latency.add(replies[i].sim_seconds);
     if (sink != nullptr) {
@@ -195,17 +191,17 @@ std::vector<ServeReply> ServingDriver::drain() {
       key.mode = mode;
       obs::Metrics m;
       m.count("requests");
-      m.count("conv_launches", fleet_runs[i].conv_launches);
-      m.count("fused_pairs", fused[i]);
-      m.count("plan_hit", fleet_runs[i].plan_taxonomy.hit);
-      m.count("plan_miss", fleet_runs[i].plan_taxonomy.miss_total());
-      m.count("arena_slot_reuses", fleet_runs[i].arena_slot_reuses);
-      m.count("fleet_device_chunks", fleet_runs[i].fleet_device_chunks);
-      m.count("comm_bound_devices", fleet_runs[i].comm_bound_devices);
+      m.count("conv_launches", r.conv_launches);
+      m.count("fused_pairs", r.fused_pairs);
+      m.count("plan_hit", r.plan_taxonomy.hit);
+      m.count("plan_miss", r.plan_taxonomy.miss_total());
+      m.count("arena_slot_reuses", r.arena_slot_reuses);
+      m.count("fleet_device_chunks", r.fleet_device_chunks);
+      m.count("comm_bound_devices", r.comm_bound_devices);
       m.gauge_max("queue_depth", static_cast<double>(work.size()));
       m.gauge_max("inflight_batches", static_cast<double>(batches.size()));
       m.gauge_max("arena_peak_bytes",
-                  static_cast<double>(fleet_runs[i].arena_peak_bytes));
+                  static_cast<double>(r.arena_peak_bytes));
       m.hist("latency_s").add(replies[i].host_seconds);
       m.hist("sim_s").add(replies[i].sim_seconds);
       sink->merge_metrics(key, m);

@@ -1,10 +1,12 @@
 // The serving driver: request queue, shape batching, and warm fast paths.
 //
 // A ServingDriver accepts inference requests against named networks,
-// batches queued work that targets the same (network, input shape) pair,
-// and executes batches on the process-wide ThreadPool — each request on its
-// own simulated device (requests are independent; the simulator is
-// deterministic, so results are byte-identical for any worker count).
+// groups queued work that targets the same (network, input shape) pair into
+// batches, and executes every request of a drain as one work-stealing job on
+// its ThreadPool — each request on its own simulated device (requests are
+// independent; the simulator is deterministic, so results are byte-identical
+// for any worker count). Batches are a grouping for the stats and the
+// telemetry; no batch waits for another.
 //
 // All requests share one PlanCache: the first (cold) request through a
 // network captures and persists each conv's launch plan; every later (warm)
@@ -13,7 +15,7 @@
 // with zero representative block execution (such requests return timings but
 // no activation data).
 //
-// Host-parallelism caveat: request batches scale with worker threads, but on
+// Host-parallelism caveat: requests scale with worker threads, but on
 // a single-CPU host (the CI runner) `threads > 1` only overlaps scheduling,
 // not compute — throughput numbers there reflect one core.
 #pragma once

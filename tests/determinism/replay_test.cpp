@@ -16,7 +16,9 @@
 //     blocks into one class — fails loudly instead of charging wrong
 //     counters.
 #include <cstring>
+#include <initializer_list>
 #include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +26,7 @@
 #include "src/common/rng.hpp"
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/implicit_gemm_conv.hpp"
+#include "src/kernels/layer_ops.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
@@ -141,15 +144,38 @@ kernels::KernelRun run_gemm_conv(const RunParams& p) {
       options(p));
 }
 
+/// Pool over odd H and W (floor tails) with Wo = 131: two x-blocks per
+/// output row, the second a 3-lane edge block.
+kernels::KernelRun run_pool(const RunParams& p) {
+  Rng rng(29);
+  tensor::Tensor img = tensor::Tensor::image(3, 9, 263);
+  img.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  return kernels::max_pool_2x2(dev, img, options(p));
+}
+
+/// Bias+ReLU over a batch of two with W = 261: three x-blocks per row, the
+/// last one ragged, and odd H.
+kernels::KernelRun run_bias_relu(const RunParams& p) {
+  Rng rng(31);
+  tensor::Tensor img(2, 3, 5, 261);
+  img.fill_random(rng);
+  const std::vector<float> bias{0.25f, -0.5f, 0.0f};
+  sim::Device dev(sim::kepler_k40m());
+  return kernels::bias_relu(dev, img, bias, options(p));
+}
+
 using Runner = kernels::KernelRun (*)(const RunParams&);
 
 /// Replay on vs. off: byte-identical outputs, equal invariant counters,
 /// and a non-trivial number of blocks actually served by replay — for the
 /// serial and the chunked parallel launcher.
-void check_replay_matches_direct(Runner run) {
+void check_replay_matches_direct(Runner run,
+                                 std::initializer_list<u32> threads = {1u,
+                                                                       4u}) {
   const auto direct = run({.replay = false, .num_threads = 1});
   ASSERT_TRUE(direct.output_valid);
-  for (const u32 t : {1u, 4u}) {
+  for (const u32 t : threads) {
     const auto replayed = run({.replay = true, .num_threads = t});
     ASSERT_TRUE(replayed.output_valid);
     expect_bytes_equal(direct.output.flat(), replayed.output.flat());
@@ -175,6 +201,30 @@ TEST(TraceReplay, GeneralConvEdgeHeavyShapeMatchesDirect) {
 
 TEST(TraceReplay, ImplicitGemmConvMatchesDirect) {
   check_replay_matches_direct(&run_gemm_conv);
+}
+
+TEST(TraceReplay, MaxPoolMatchesDirect) {
+  check_replay_matches_direct(&run_pool, {1u, 2u});
+}
+
+TEST(TraceReplay, BiasReluMatchesDirect) {
+  check_replay_matches_direct(&run_bias_relu, {1u, 2u});
+}
+
+TEST(TraceReplay, RowKernelsKeepModeledTimeOnSerialTimingLaunches) {
+  for (const Runner run : {&run_pool, &run_bias_relu}) {
+    const auto direct =
+        run({.replay = false, .trace = sim::TraceLevel::Timing});
+    const auto replayed =
+        run({.replay = true, .trace = sim::TraceLevel::Timing});
+    expect_scheduling_invariant_stats(direct.launch.stats,
+                                      replayed.launch.stats);
+    EXPECT_EQ(direct.launch.stats.gm_sectors_dram,
+              replayed.launch.stats.gm_sectors_dram);
+    EXPECT_EQ(direct.launch.timing.seconds, replayed.launch.timing.seconds);
+    expect_bytes_equal(direct.output.flat(), replayed.output.flat());
+    EXPECT_GT(replayed.launch.blocks_replayed, 0u);
+  }
 }
 
 TEST(TraceReplay, SerialTimingLaunchMatchesCacheCountersExactly) {

@@ -1,5 +1,8 @@
 #include "src/kernels/gemm_kernels.hpp"
 
+#include <cstring>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "src/common/rng.hpp"
@@ -34,7 +37,8 @@ GemmConfig preset(int which) {
   switch (which) {
     case 0: return gemm_cublas_like();
     case 1: return gemm_magma_fermi();
-    default: return gemm_magma_mod();
+    case 2: return gemm_magma_mod();
+    default: return gemm_matvec();
   }
 }
 
@@ -59,7 +63,8 @@ TEST_P(GemmPresets, TinyProblem) {
                            preset(GetParam()));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPresets, GemmPresets, ::testing::Values(0, 1, 2));
+INSTANTIATE_TEST_SUITE_P(AllPresets, GemmPresets,
+                         ::testing::Values(0, 1, 2, 3));
 
 TEST(Gemm, NoPrefetchVariantStillCorrect) {
   GemmConfig cfg = gemm_magma_mod();
@@ -81,6 +86,38 @@ TEST(Gemm, BadMicroTileThrows) {
   EXPECT_THROW(
       gemm(dev, random_matrix(8, 8, 1), random_matrix(8, 8, 2), cfg), Error);
 }
+
+// --- The dense layer's GEMV tile ----------------------------------------------
+
+/// The serving graph's dense shapes: M logits x K features times one
+/// column. 17 and 33 rows span two and three 16-row blocks.
+class MatvecShapes
+    : public ::testing::TestWithParam<std::tuple<i64, i64>> {};
+
+TEST_P(MatvecShapes, BitIdenticalToMagmaModAndNoSlower) {
+  const auto [rows, cols] = GetParam();
+  const auto a = random_matrix(rows, cols, 21);
+  const auto x = random_matrix(cols, 1, 22);
+  sim::Device dev_wide(sim::kepler_k40m());
+  const auto wide = gemm(dev_wide, a, x, gemm_magma_mod());
+  sim::Device dev_gemv(sim::kepler_k40m());
+  const auto gemv = gemm(dev_gemv, a, x, gemm_matvec());
+  ASSERT_TRUE(wide.output_valid);
+  ASSERT_TRUE(gemv.output_valid);
+  // Every output sums over k in the same order in both tiles.
+  ASSERT_EQ(wide.c.data.size(), gemv.c.data.size());
+  EXPECT_EQ(std::memcmp(wide.c.data.data(), gemv.c.data.data(),
+                        wide.c.data.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(gemv.launch.blocks_total,
+            static_cast<u64>((rows + 15) / 16));
+  EXPECT_LE(gemv.launch.timing.seconds, wide.launch.timing.seconds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DenseLayers, MatvecShapes,
+    ::testing::Combine(::testing::Values<i64>(10, 17, 33),
+                       ::testing::Values<i64>(256, 576, 864)));
 
 // --- Fig. 2's ordering, as model predictions ---------------------------------
 

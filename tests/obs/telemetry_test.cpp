@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -244,6 +245,87 @@ TEST(Telemetry, EventStreamParsesAndSpansBalance) {
     if (s.end_us >= 0.0) ++closed;
   }
   EXPECT_EQ(closed, begins);
+}
+
+// A mixed-network drain runs every request in one job on four workers while
+// the batch spans stay open on the driver's lane. Replayed in stream order,
+// every trace's spans must open under the innermost open span of that trace
+// (or at the root) and close innermost first, and every request span must
+// close. The unified trace export must nest the same way on every lane.
+TEST(Telemetry, MixedDrainSpansNestPerTrace) {
+  const Network lenet = serve::make_network("lenet");
+  const Network vgg = serve::make_network("vgg-tiny");
+  const std::string dir = fresh_dir("mixed_drain");
+  TelemetrySink sink(dir);
+  ServeOptions opt;
+  opt.threads = 4;
+  opt.telemetry = &sink;
+  ServingDriver driver(opt);
+  const Network* queue[] = {&lenet, &vgg, &lenet, &vgg, &lenet};
+  for (u64 r = 0; r < 5; ++r) {
+    driver.enqueue(*queue[r], make_network_input(*queue[r], r));
+  }
+  const auto replies = driver.drain();
+  ASSERT_EQ(replies.size(), 5u);
+  EXPECT_EQ(driver.stats().batches, 2u);
+  EXPECT_EQ(sink.open_spans(), 0u);
+
+  std::map<u64, std::vector<u64>> open;  // trace -> stack of span ids
+  std::map<u64, std::string> name_of;
+  u64 batch_spans = 0, request_begins = 0, request_ends = 0;
+  for (const auto& line : read_lines(dir + "/events.jsonl")) {
+    const auto doc = testsupport::JsonReader(line).parse();
+    const std::string ev = doc->object.at("ev")->str;
+    if (ev != "span_begin" && ev != "span_end") continue;
+    const u64 trace = static_cast<u64>(doc->object.at("trace")->number);
+    const u64 span = static_cast<u64>(doc->object.at("span")->number);
+    std::vector<u64>& stack = open[trace];
+    if (ev == "span_begin") {
+      const u64 parent = static_cast<u64>(doc->object.at("parent")->number);
+      const std::string name = doc->object.at("name")->str;
+      if (parent != 0) {
+        ASSERT_FALSE(stack.empty()) << line;
+        EXPECT_EQ(parent, stack.back()) << line;
+      }
+      if (name == "request") ++request_begins;
+      if (trace == 0 && name.rfind("batch ", 0) == 0) ++batch_spans;
+      name_of[span] = name;
+      stack.push_back(span);
+    } else {
+      ASSERT_FALSE(stack.empty()) << line;
+      EXPECT_EQ(span, stack.back()) << "improper nesting: " << line;
+      if (name_of[span] == "request") ++request_ends;
+      stack.pop_back();
+    }
+  }
+  for (const auto& [trace, stack] : open) {
+    EXPECT_TRUE(stack.empty()) << "trace " << trace << " ends with open spans";
+  }
+  EXPECT_EQ(batch_spans, 2u);
+  EXPECT_EQ(request_begins, 5u);
+  EXPECT_EQ(request_ends, 5u);
+
+  // The exported lanes, as scripts/check_trace.py reads them.
+  const auto doc = testsupport::JsonReader(
+                       unified_trace_json(sink, sim::kepler_k40m(), {}))
+                       .parse();
+  std::map<u64, std::vector<std::string>> lanes;
+  for (const auto& e : doc->object.at("traceEvents")->array) {
+    const std::string ph = e->object.at("ph")->str;
+    if (ph != "B" && ph != "E") continue;
+    std::vector<std::string>& stack =
+        lanes[static_cast<u64>(e->object.at("tid")->number)];
+    const std::string name = e->object.at("name")->str;
+    if (ph == "B") {
+      stack.push_back(name);
+    } else {
+      ASSERT_FALSE(stack.empty());
+      EXPECT_EQ(stack.back(), name);
+      stack.pop_back();
+    }
+  }
+  EXPECT_EQ(lanes.size(), 6u);  // the batch lane + one per request
+  for (const auto& [lane, stack] : lanes) EXPECT_TRUE(stack.empty()) << lane;
 }
 
 TEST(Telemetry, MetricsStreamMatchesStatsAndTaxonomySums) {

@@ -79,6 +79,8 @@ tensor::Tensor run_hand_sequenced(const Network& net,
         break;
       }
       case OpKind::Dense: {
+        // The 64x64 tile, not the graph's gemm_matvec(): an independent
+        // oracle for the GEMV tile.
         tensor::Matrix xin(n.weights.cols, 1);
         for (i64 f = 0; f < n.weights.cols; ++f) {
           xin.data[static_cast<std::size_t>(f)] =
@@ -282,6 +284,36 @@ TEST(RunGraph, WarmReplayAndAnalyticFastPaths) {
   EXPECT_TRUE(fast.analytic);
   EXPECT_FALSE(fast.output_valid);
   EXPECT_EQ(fast.total_seconds, cold.total_seconds);
+  fs::remove_all(dir);
+}
+
+TEST(RunGraph, AuxNodesReplayInLaunchWithoutThePlanStore) {
+  const std::string dir = fresh_dir("aux_replay");
+  sim::PlanCache plans(dir);
+  const Network net = make_network("lenet");
+  const tensor::Tensor in = make_network_input(net);
+  GraphRunOptions opt;
+  opt.fuse = false;  // keep the standalone bias_relu nodes
+  opt.launch.plan_cache = &plans;
+  opt.launch.replay = true;
+  sim::Device dev(sim::kepler_k40m());
+  const GraphRun run = run_graph(dev, net.graph, in, opt);
+  ASSERT_TRUE(run.output_valid);
+  EXPECT_TRUE(bit_equal(run.output, run_hand_sequenced(net, in)));
+  u32 pools = 0, biases = 0;
+  for (const NodeRun& n : run.nodes) {
+    if (n.kind == OpKind::Conv) continue;
+    SCOPED_TRACE(n.name);
+    EXPECT_EQ(n.launch.plan_cache_status, "");  // no store traffic
+    if (n.kind == OpKind::Dense) {
+      EXPECT_EQ(n.launch.blocks_replayed, 0u);  // no hook
+      continue;
+    }
+    (n.kind == OpKind::MaxPool ? pools : biases) += 1;
+    EXPECT_GT(n.launch.blocks_replayed, 0u);
+  }
+  EXPECT_GT(pools, 0u);
+  EXPECT_GT(biases, 0u);
   fs::remove_all(dir);
 }
 

@@ -6,12 +6,14 @@
 // warm to analytic with the outputs (when they exist) unchanged.
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/serve/serving.hpp"
+#include "src/sim/sim.hpp"
 
 namespace kconv::serve {
 namespace {
@@ -162,6 +164,89 @@ TEST(Serving, AnalyticRepliesAreDeterministicAcrossThreadCounts) {
     EXPECT_TRUE(b[i].analytic);
     EXPECT_EQ(a[i].sim_seconds, b[i].sim_seconds);
   }
+  fs::remove_all(dir);
+}
+
+// A mixed queue drained as one work-stealing job: at any worker count each
+// reply equals the same request drained alone and run_graph on it, and the
+// grouping counters do not depend on the worker count. The store is seeded
+// first so every conv launch hits at any thread count (a fresh store would
+// let workers race for the first capture).
+TEST(Serving, MixedDrainMatchesSingleRequestsAcrossThreadCounts) {
+  const std::string dir = fresh_dir("mixed_drain");
+  sim::PlanCache plans(dir);
+  const std::vector<Network> nets{make_network("lenet"),
+                                  make_network("vgg-tiny"),
+                                  make_network("lenet-wide")};
+  ServeOptions opt;
+  opt.plan_cache = &plans;
+  {
+    ServingDriver seeder(opt);
+    for (const Network& n : nets) seeder.enqueue(n, make_network_input(n, 9));
+    (void)seeder.drain();
+  }
+  // lenet, vgg-tiny, lenet-wide, lenet, vgg-tiny: three batches.
+  const int queue[] = {0, 1, 2, 0, 1};
+  std::vector<tensor::Tensor> inputs;
+  for (std::size_t r = 0; r < std::size(queue); ++r) {
+    inputs.push_back(make_network_input(nets[queue[r]], r));
+  }
+
+  std::vector<ServeReply> alone;
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    ServingDriver single(opt);
+    single.enqueue(nets[queue[r]], inputs[r]);
+    auto replies = single.drain();
+    ASSERT_EQ(replies.size(), 1u);
+    ASSERT_TRUE(replies[0].ok);
+
+    GraphRunOptions g;
+    g.launch.replay = true;
+    g.launch.plan_cache = &plans;
+    sim::Device dev(sim::kepler_k40m());
+    const GraphRun run = run_graph(dev, nets[queue[r]].graph, inputs[r], g);
+    EXPECT_TRUE(bit_equal(run.output, replies[0].output)) << "request " << r;
+    EXPECT_EQ(run.total_seconds, replies[0].sim_seconds) << "request " << r;
+    alone.push_back(std::move(replies[0]));
+  }
+
+  std::vector<ServeStats> stats;
+  for (const u32 threads : {1u, 4u}) {
+    ServeOptions o = opt;
+    o.threads = threads;
+    ServingDriver driver(o);
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+      driver.enqueue(nets[queue[r]], inputs[r]);
+    }
+    const auto replies = driver.drain();
+    ASSERT_EQ(replies.size(), inputs.size());
+    for (std::size_t r = 0; r < replies.size(); ++r) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, request " << r);
+      EXPECT_EQ(replies[r].id, r);
+      EXPECT_TRUE(replies[r].ok);
+      EXPECT_TRUE(replies[r].warm);
+      EXPECT_TRUE(bit_equal(replies[r].output, alone[r].output));
+      EXPECT_EQ(replies[r].sim_seconds, alone[r].sim_seconds);
+    }
+    stats.push_back(driver.stats());
+  }
+  const ServeStats& a = stats[0];
+  const ServeStats& b = stats[1];
+  EXPECT_EQ(a.batches, 3u);
+  EXPECT_EQ(a.max_inflight_batches, 3u);
+  EXPECT_EQ(a.processed, b.processed);
+  EXPECT_EQ(a.batches, b.batches);
+  EXPECT_EQ(a.max_inflight_batches, b.max_inflight_batches);
+  EXPECT_EQ(a.warm, b.warm);
+  EXPECT_EQ(a.fused_pairs, b.fused_pairs);
+  EXPECT_EQ(a.fusion_gm_bytes_eliminated, b.fusion_gm_bytes_eliminated);
+  EXPECT_EQ(a.conv_launches, b.conv_launches);
+  EXPECT_EQ(a.plan_taxonomy.hit, a.conv_launches);
+  EXPECT_EQ(a.plan_taxonomy.hit, b.plan_taxonomy.hit);
+  EXPECT_EQ(a.plan_taxonomy.total(), b.plan_taxonomy.total());
+  EXPECT_EQ(a.arena_slot_reuses, b.arena_slot_reuses);
+  EXPECT_EQ(a.arena_peak_bytes, b.arena_peak_bytes);
+  EXPECT_EQ(a.sim_latency.to_json(), b.sim_latency.to_json());
   fs::remove_all(dir);
 }
 
