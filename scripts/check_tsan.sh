@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
-# Builds the determinism suite under ThreadSanitizer and runs it.
+# Builds the threaded suites under ThreadSanitizer and runs them.
 #
-# The parallel launcher and autotuner are the only multi-threaded code in
-# the repo; the determinism-labeled tests drive every parallel path
-# (chunked launches, sampled launches, autotune sweeps), so a clean TSan
-# run here covers the pool's synchronization protocol.
+# Three places run host threads: the launch engine's chunk pool (parallel
+# chunks and fleet devices, docs/MODEL.md §5a/§9), the autotuner's sweeps,
+# and the ServingDriver's drain workers (§8). The determinism-labeled tests
+# drive every launch mode (chunked, sampled, fleet, replay, warm plans)
+# and the autotune sweeps; the Serving.* tests drain requests across
+# several worker counts over a shared plan store. A clean TSan run over
+# both covers the pool's synchronization protocol and every piece of
+# state those threads share.
 #
 #   scripts/check_tsan.sh [build-dir]    # default: build-tsan
 set -euo pipefail
@@ -13,5 +17,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DKCONV_SANITIZE=thread
-cmake --build "$BUILD_DIR" --target kconv_determinism_test -j "$(nproc)"
+cmake --build "$BUILD_DIR" --target kconv_determinism_test kconv_serve_test \
+  -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L determinism --output-on-failure
+ctest --test-dir "$BUILD_DIR" -R '^Serving\.' --output-on-failure

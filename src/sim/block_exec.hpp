@@ -38,8 +38,8 @@ using KernelBody = std::function<ThreadProgram(ThreadCtx&)>;
 ///
 /// `const_cache` models the per-SM constant cache (pass nullptr to treat
 /// every constant line as resident); `gm_l2` is the L2 the block's global
-/// sectors probe — the device's own L2 on the serial path, a per-worker
-/// shadow on parallel launches. Throws kconv::Error on device faults
+/// sectors probe — the device's own L2 on the serial path, a per-chunk
+/// shadow on parallel and fleet launches. Throws kconv::Error on device faults
 /// (OOB/misaligned accesses, runaway loops) and rethrows exceptions escaping
 /// the kernel body.
 ///

@@ -117,11 +117,12 @@ struct LaunchOptions {
   bool analytic = false;
   /// Multi-device sharding (docs/MODEL.md §9): fleet.devices > 1 splits the
   /// grid across N simulated devices by fleet.strategy, each shard running
-  /// against its own Device (cold L2/constant caches) with a modeled
-  /// host<->device staging + device<->device halo transfer ledger. Outputs
-  /// stay byte-identical and scheduling-invariant counters exact versus
-  /// devices == 1 (same contract as num_threads, §5a). Unsupported with
-  /// `analytic` (no per-block execution to shard) and with sampling.
+  /// as one launch chunk (fresh L2 shadow and constant-cache replica) with
+  /// a modeled host<->device staging + device<->device halo transfer
+  /// ledger. Outputs stay byte-identical and scheduling-invariant counters
+  /// exact versus devices == 1 (same contract as num_threads, §5a).
+  /// Unsupported with `analytic` (no per-block execution to shard) and with
+  /// sampling.
   FleetOptions fleet;
   /// Shard-axis geometry, filled by kernel runners (conv2d and friends)
   /// before the launch; direct launch() callers sharding a raw kernel must

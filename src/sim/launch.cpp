@@ -1,8 +1,8 @@
 #include "src/sim/launch.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/hazard.hpp"
@@ -259,172 +259,175 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
     return out;
   };
 
+  // One chunk engine for every launch mode (docs/MODEL.md §5a). The
+  // partition is a pure function of grid, thread count and fleet options:
+  //   serial   one chunk [0, count) on the device L2 (warm across blocks,
+  //            and across launches when reset_l2 is off);
+  //   parallel ceil(count / threads) contiguous chunks;
+  //   fleet    one chunk per device: its shard's runs (§9; never sampled,
+  //            so launch index == flat id).
+  // Each chunk owns the state its blocks touch (chunks without the device
+  // L2 get a fresh shadow) and results merge in chunk-index order, so every
+  // mode is exactly reproducible and only the cache-warmth counters move.
+  struct Chunk {
+    std::vector<BlockRange> runs;  // launch indices
+    L2Cache* l2 = nullptr;         // null: a fresh L2 shadow
+  };
+  std::vector<Chunk> chunks;
+  std::vector<FleetShard> fshards;
   if (fleet_on) {
-    // Fleet path: the chunk unit is a (device, block-range, transfer-ledger)
-    // triple. Each device runs its shard's block ranges against its own L2
-    // and constant-cache replica — per-device state depends only on the
-    // shard partition, never on host scheduling, so outputs and all
-    // scheduling-invariant counters are bit-identical to devices == 1
-    // (docs/MODEL.md §5a contract, §9 for the transfer layer on top).
-    const u32 D = opt.fleet.devices;
-    std::vector<FleetShard> fshards =
-        shard_grid(cfg.grid, opt.fleet, opt.fleet_hints);
+    fshards = shard_grid(cfg.grid, opt.fleet, opt.fleet_hints);
     model_transfers(opt.fleet, opt.fleet_hints, res.blocks_total, fshards);
-    DeviceFleet fleet(arch, D);
-    std::vector<KernelStats> shards(D);
-    std::vector<u64> replayed(D, 0);
-    // Device runners outlive the pool so captured classes merge into the
-    // shared plan in device-index order — one store for the whole fleet.
-    std::vector<std::unique_ptr<ReplayRunner>> runners(replaying ? D : 0);
-    std::vector<std::string> pattern_blobs(plan_enabled ? D : 0);
-    std::vector<profile::PhaseProfile> pshards(profiling ? D : 0);
-    std::vector<std::vector<profile::BlockTimeline>> tshards(profiling ? D
-                                                                       : 0);
-    std::vector<std::unique_ptr<analysis::BlockChecker>> checkers(D);
-    if (opt.hazard_check) {
-      for (u32 d = 0; d < D; ++d) {
-        checkers[d] =
-            std::make_unique<analysis::BlockChecker>(cfg, arch.warp_size);
-      }
+    for (const FleetShard& fs : fshards) chunks.push_back({fs.runs});
+  } else if (threads <= 1) {
+    chunks.push_back({{{0, set.count}}, &dev.l2()});
+  } else {
+    const u64 grain = (set.count + threads - 1) / threads;
+    for (u64 b = 0; b < set.count; b += grain) {
+      chunks.push_back({{{b, std::min(set.count, b + grain)}}});
     }
-    const u32 workers = static_cast<u32>(
-        std::min<u64>(ThreadPool::resolve_threads(opt.num_threads), D));
-    ThreadPool pool(workers);
-    pool.parallel_for(0, D, 1, [&](u64 db, u64 de, u32 /*chunk*/) {
-      for (u64 dvc = db; dvc < de; ++dvc) {
-        const FleetShard& fs = fshards[dvc];
-        if (fs.blocks == 0) continue;
-        Device& fdev = fleet.device(static_cast<u32>(dvc));
-        L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes,
-                            4);
-        ChunkPatternCache pattern(arch, opt.pattern_cache);
-        KernelStats& stats = shards[dvc];
-        analysis::BlockChecker* chk = checkers[dvc].get();
-        profile::PhaseProfile* psink = profiling ? &pshards[dvc] : nullptr;
-        profile::BlockTimeline scratch_tl;
-        // The timeline cap keys on the FLAT block id (== the serial launch
-        // index — fleet launches never sample), so the captured block set
-        // is device-count-invariant.
-        const auto want_timeline =
-            [&](u64 flat, Dim3 bidx) -> profile::BlockTimeline* {
-          if (!profiling || flat >= opt.profile_timeline_blocks) {
-            return nullptr;
-          }
-          scratch_tl = profile::BlockTimeline{};
-          scratch_tl.block = bidx;
-          scratch_tl.seq = flat;
-          return &scratch_tl;
-        };
-        const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-          if (tl != nullptr && !tl->slices.empty()) {
-            tshards[dvc].push_back(std::move(*tl));
-          }
-        };
-        if (replaying) {
-          runners[dvc] = std::make_unique<ReplayRunner>(
-              arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
-              origins, pattern.get(), chk, psink, analytic);
-          ReplayRunner& runner = *runners[dvc];
-          if (plan_hit) {
-            runner.prime(plan);
-            if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-              PlanReader pr(plan.pattern_blob);
-              (void)pattern.get()->restore(pr);
-            }
-          }
-          for (const BlockRange& r : fs.runs) {
-            for (u64 flat = r.begin; flat < r.end; ++flat) {
-              const Dim3 bidx = unflatten(cfg.grid, flat);
-              profile::BlockTimeline* tl = want_timeline(flat, bidx);
-              runner.run(bidx, &const_cache, fdev.l2(), stats, tl);
-              keep_timeline(tl);
-            }
-          }
-          runner.finish(stats);
-          replayed[dvc] = runner.blocks_replayed();
-          if (plan_enabled && pattern.get() != nullptr) {
-            PlanWriter pw;
-            pattern.get()->save(pw);
-            pattern_blobs[dvc] = pw.take();
-          }
+  }
+
+  // Chunk state outlives the chunk so captured classes merge into the saved
+  // plan in index order; stats stay per chunk for the fleet report.
+  struct ChunkOut {
+    std::optional<analysis::BlockChecker> checker;
+    std::optional<ChunkPatternCache> pattern;
+    profile::PhaseProfile phases;
+    std::vector<profile::BlockTimeline> timelines;
+    std::optional<ReplayRunner> runner;  // last: points at the members above
+  };
+  std::vector<KernelStats> chunk_stats(chunks.size());
+  std::vector<ChunkOut> outs(chunks.size());
+  const auto run_chunk = [&](u64 c) {
+    if (chunks[c].runs.empty()) return;
+    ChunkOut& out = outs[c];
+    KernelStats& stats = chunk_stats[c];
+    std::optional<L2Cache> shadow;
+    L2Cache& l2 = chunks[c].l2 != nullptr
+                      ? *chunks[c].l2
+                      : shadow.emplace(arch.l2_capacity, arch.gm_sector_bytes);
+    L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
+    ChunkPatternCache& pattern = out.pattern.emplace(arch, opt.pattern_cache);
+    analysis::BlockChecker* chk =
+        opt.hazard_check ? &out.checker.emplace(cfg, arch.warp_size) : nullptr;
+    profile::PhaseProfile* psink = profiling ? &out.phases : nullptr;
+    ReplayRunner* runner = nullptr;
+    if (replaying) {
+      // Each chunk captures its own class representatives. A warm plan
+      // primes every chunk's table; a lone chunk adopts it by move (a
+      // post-capture store re-exports every class from live state).
+      runner = &out.runner.emplace(arch, body, cfg, opt.trace,
+                                   opt.max_rounds_per_block, classify,
+                                   origins, pattern.get(), chk, psink,
+                                   analytic);
+      if (plan_hit) {
+        if (chunks.size() == 1) {
+          runner->prime(std::move(plan));
         } else {
-          for (const BlockRange& r : fs.runs) {
-            for (u64 flat = r.begin; flat < r.end; ++flat) {
-              const Dim3 bidx = unflatten(cfg.grid, flat);
-              profile::BlockTimeline* tl = want_timeline(flat, bidx);
-              std::optional<profile::BlockProfiler> bp;
-              if (psink != nullptr) bp.emplace(*psink, tl);
-              run_block(arch, body, cfg, bidx, opt.trace,
-                        opt.max_rounds_per_block, &const_cache, fdev.l2(),
-                        stats, nullptr, pattern.get(), chk,
-                        bp ? &*bp : nullptr);
-              keep_timeline(tl);
-            }
-          }
+          runner->prime(plan);
         }
-        pattern.drain(stats);
+        if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
+          PlanReader pr(plan.pattern_blob);
+          (void)pattern.get()->restore(pr);  // priming only; safe to skip
+        }
       }
+    }
+    // Timelines cover the first profile_timeline_blocks of the launch order
+    // (a partition-invariant set); replayed blocks record no slices and are
+    // dropped, though their phases still count.
+    profile::BlockTimeline scratch_tl;
+    for (const BlockRange& r : chunks[c].runs) {
+      for (u64 i = r.begin; i < r.end; ++i) {
+        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
+        profile::BlockTimeline* tl = nullptr;
+        if (profiling && i < opt.profile_timeline_blocks) {
+          scratch_tl = profile::BlockTimeline{bidx, i, {}};
+          tl = &scratch_tl;
+        }
+        if (runner != nullptr) {
+          runner->run(bidx, &const_cache, l2, stats, tl);
+        } else {
+          std::optional<profile::BlockProfiler> bp;
+          if (psink != nullptr) bp.emplace(*psink, tl);
+          run_block(arch, body, cfg, bidx, opt.trace,
+                    opt.max_rounds_per_block, &const_cache, l2, stats,
+                    nullptr, pattern.get(), chk, bp ? &*bp : nullptr);
+        }
+        if (tl != nullptr && !tl->slices.empty()) {
+          out.timelines.push_back(std::move(*tl));
+        }
+      }
+    }
+    if (runner != nullptr) runner->finish(stats);
+    pattern.drain(stats);
+  };
+  const u32 workers = static_cast<u32>(std::min<u64>(threads, chunks.size()));
+  if (workers <= 1) {
+    for (u64 c = 0; c < chunks.size(); ++c) run_chunk(c);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for(0, chunks.size(), 1, [&](u64 b, u64 e, u32 /*chunk*/) {
+      for (u64 c = b; c < e; ++c) run_chunk(c);
     });
-    for (const KernelStats& s : shards) res.stats += s;  // device order
-    for (const u64 r : replayed) res.blocks_replayed += r;
-    if (plan_enabled) {
-      // Store-once across the fleet: classes merge in device-index order
-      // (first device to own a class wins) and exactly one store call runs
-      // after every device finished — concurrent devices never race a
-      // sidecar write.
-      bool dirty = false;
-      for (const auto& r : runners) {
-        dirty = dirty || (r != nullptr && r->captured_fresh());
-      }
-      if (dirty) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        for (const auto& r : runners) {
-          if (r != nullptr) r->export_plan(out);
-        }
-        for (std::string& blob : pattern_blobs) {
-          if (!blob.empty()) {
-            out.pattern_blob = std::move(blob);
-            break;
-          }
-        }
-        store_plan(out);
+  }
+
+  // Index-order merge.
+  std::vector<analysis::BlockChecker*> checkers;
+  bool dirty = false;
+  for (u64 c = 0; c < chunks.size(); ++c) {
+    res.stats += chunk_stats[c];
+    res.profile.phases += outs[c].phases;
+    for (profile::BlockTimeline& tl : outs[c].timelines) {
+      res.profile.timelines.push_back(std::move(tl));
+    }
+    checkers.push_back(outs[c].checker ? &*outs[c].checker : nullptr);
+    if (outs[c].runner) {
+      res.blocks_replayed += outs[c].runner->blocks_replayed();
+      dirty = dirty || outs[c].runner->captured_fresh();
+    }
+  }
+  // Channel shards interleave flat ids across devices; restore launch order.
+  std::stable_sort(
+      res.profile.timelines.begin(), res.profile.timelines.end(),
+      [](const profile::BlockTimeline& a, const profile::BlockTimeline& b) {
+        return a.seq < b.seq;
+      });
+  if (opt.hazard_check) analysis::finalize_hazards(checkers, res.analysis);
+  if (plan_enabled && dirty) {
+    // One store after every chunk finished: classes merge in index order
+    // (first owner wins), and the first chunk's pattern tables are saved —
+    // one chunk's analyzer outputs are as good as another's.
+    LaunchPlan out = saved_plan(std::move(plan));
+    for (const ChunkOut& o : outs) {
+      if (o.runner) o.runner->export_plan(out);
+    }
+    for (ChunkOut& o : outs) {
+      if (o.pattern && o.pattern->get() != nullptr) {
+        PlanWriter pw;
+        o.pattern->get()->save(pw);
+        out.pattern_blob = pw.take();
+        break;
       }
     }
-    for (profile::PhaseProfile& p : pshards) res.profile.phases += p;
-    for (std::vector<profile::BlockTimeline>& ts : tshards) {
-      for (profile::BlockTimeline& tl : ts) {
-        res.profile.timelines.push_back(std::move(tl));
-      }
-    }
-    // Channel shards interleave flat ids across devices; restore launch
-    // order so the timeline list reads like the serial one.
-    std::stable_sort(res.profile.timelines.begin(),
-                     res.profile.timelines.end(),
-                     [](const profile::BlockTimeline& a,
-                        const profile::BlockTimeline& b) {
-                       return a.seq < b.seq;
-                     });
-    if (opt.hazard_check) {
-      std::vector<analysis::BlockChecker*> ordered;
-      ordered.reserve(D);
-      for (const auto& c : checkers) ordered.push_back(c.get());
-      analysis::finalize_hazards(ordered, res.analysis);
-    }
-    // Per-device compute seconds: each device executes only its shard, so
-    // its time is the unscaled estimate over the shard's own blocks.
-    std::vector<double> dev_seconds(D, 0.0);
-    if (opt.trace == TraceLevel::Timing) {
-      for (u32 d = 0; d < D; ++d) {
-        if (fshards[d].blocks > 0) {
-          dev_seconds[d] =
-              estimate_time(arch, cfg, shards[d], fshards[d].blocks).seconds;
-        }
+    store_plan(out);
+  }
+
+  if (fleet_on) {
+    // Each device executes only its shard, so its compute time is the
+    // unscaled estimate over the shard's own blocks.
+    std::vector<double> dev_seconds(fshards.size(), 0.0);
+    for (u64 d = 0; d < fshards.size(); ++d) {
+      if (opt.trace == TraceLevel::Timing && fshards[d].blocks > 0) {
+        dev_seconds[d] =
+            estimate_time(arch, cfg, chunk_stats[d], fshards[d].blocks)
+                .seconds;
       }
     }
     res.fleet = analyze_fleet(arch, opt.fleet, opt.fleet_hints,
-                              res.blocks_total, fshards, shards, dev_seconds);
-    // One telemetry event per device chunk, in device order (deterministic:
-    // device_reports is built by analyze_fleet in index order).
+                              res.blocks_total, fshards, chunk_stats,
+                              dev_seconds);
+    // One telemetry event per device, in device order.
     if (tel.on()) {
       for (const FleetDeviceReport& d : res.fleet.device_reports) {
         tel.sink->fleet_device_event(
@@ -432,208 +435,6 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
             d.ledger.d2h_bytes, d.ledger.d2d_bytes, d.transfer_seconds,
             d.compute_seconds, d.comm_ratio);
       }
-    }
-  } else if (threads <= 1) {
-    // Exact-legacy serial path: one shared per-SM constant cache, every
-    // block's sectors through the device's single L2 (which therefore stays
-    // warm across blocks — and across launches when reset_l2 is off).
-    L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
-    ChunkPatternCache pattern(arch, opt.pattern_cache);
-    std::optional<analysis::BlockChecker> checker;
-    if (opt.hazard_check) checker.emplace(cfg, arch.warp_size);
-    analysis::BlockChecker* chk = checker.has_value() ? &*checker : nullptr;
-    // Timeline capture is capped at the first profile_timeline_blocks of
-    // the launch order; blocks that replay record no slices and are
-    // dropped (their phases still land in res.profile.phases).
-    profile::BlockTimeline scratch_tl;
-    const auto want_timeline = [&](u64 i, Dim3 bidx) -> profile::BlockTimeline* {
-      if (!profiling || i >= opt.profile_timeline_blocks) return nullptr;
-      scratch_tl = profile::BlockTimeline{};
-      scratch_tl.block = bidx;
-      scratch_tl.seq = i;
-      return &scratch_tl;
-    };
-    const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-      if (tl != nullptr && !tl->slices.empty()) {
-        res.profile.timelines.push_back(std::move(*tl));
-      }
-    };
-    if (replaying) {
-      ReplayRunner runner(arch, body, cfg, opt.trace,
-                          opt.max_rounds_per_block, classify, origins,
-                          pattern.get(), chk,
-                          profiling ? &res.profile.phases : nullptr,
-                          analytic);
-      if (plan_hit) {
-        // Moved, not copied: the serial path has exactly one runner, and a
-        // post-capture store re-exports classes from live runner state.
-        runner.prime(std::move(plan));
-        if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-          PlanReader pr(plan.pattern_blob);
-          (void)pattern.get()->restore(pr);  // priming only; safe to skip
-        }
-      }
-      for (u64 i = 0; i < set.count; ++i) {
-        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-        profile::BlockTimeline* tl = want_timeline(i, bidx);
-        runner.run(bidx, &const_cache, dev.l2(), res.stats, tl);
-        keep_timeline(tl);
-      }
-      runner.finish(res.stats);
-      res.blocks_replayed = runner.blocks_replayed();
-      if (plan_enabled && runner.captured_fresh()) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        runner.export_plan(out);
-        if (pattern.get() != nullptr) {
-          PlanWriter pw;
-          pattern.get()->save(pw);
-          out.pattern_blob = pw.take();
-        }
-        store_plan(out);
-      }
-    } else {
-      for (u64 i = 0; i < set.count; ++i) {
-        const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-        profile::BlockTimeline* tl = want_timeline(i, bidx);
-        std::optional<profile::BlockProfiler> bp;
-        if (profiling) bp.emplace(res.profile.phases, tl);
-        run_block(arch, body, cfg, bidx, opt.trace, opt.max_rounds_per_block,
-                  &const_cache, dev.l2(), res.stats, nullptr, pattern.get(),
-                  chk, bp ? &*bp : nullptr);
-        keep_timeline(tl);
-      }
-    }
-    pattern.drain(res.stats);
-    if (chk != nullptr) analysis::finalize_hazards({chk}, res.analysis);
-  } else {
-    // Parallel path: contiguous chunks of the block list, one stats shard,
-    // L2 shadow, and constant-cache replica per chunk. Shard state depends
-    // only on the chunk partition (a pure function of count and thread
-    // count), not on host scheduling, so a given num_threads is exactly
-    // reproducible; outputs and all non-cache counters match the serial
-    // path bit for bit (docs/MODEL.md §5a).
-    const u64 grain = static_cast<u64>(
-        ceil_div(static_cast<i64>(set.count), static_cast<i64>(threads)));
-    const u64 n_chunks = static_cast<u64>(
-        ceil_div(static_cast<i64>(set.count), static_cast<i64>(grain)));
-    std::vector<KernelStats> shards(n_chunks);
-    std::vector<u64> replayed(n_chunks, 0);
-    // Chunk runners live past the pool so captured classes can be merged
-    // into the saved plan in index order (deterministic store contents).
-    std::vector<std::unique_ptr<ReplayRunner>> runners(
-        replaying ? n_chunks : 0);
-    std::vector<std::string> pattern_blobs(plan_enabled ? n_chunks : 0);
-    // Per-chunk phase shards and timeline shards, merged in index order
-    // like the stats shards; the timeline cap uses the GLOBAL launch index
-    // so the captured set is thread-count-invariant.
-    std::vector<profile::PhaseProfile> pshards(profiling ? n_chunks : 0);
-    std::vector<std::vector<profile::BlockTimeline>> tshards(
-        profiling ? n_chunks : 0);
-    // One checker per chunk, merged in index order like the stats shards, so
-    // the hazard report is a pure function of the chunk partition too.
-    std::vector<std::unique_ptr<analysis::BlockChecker>> checkers(n_chunks);
-    if (opt.hazard_check) {
-      for (u64 c = 0; c < n_chunks; ++c) {
-        checkers[c] =
-            std::make_unique<analysis::BlockChecker>(cfg, arch.warp_size);
-      }
-    }
-    ThreadPool pool(threads);
-    pool.parallel_for(0, set.count, grain, [&](u64 b, u64 e, u32 chunk) {
-      L2Cache l2_shadow(arch.l2_capacity, arch.gm_sector_bytes);
-      L2Cache const_cache(arch.const_cache_per_sm, arch.const_line_bytes, 4);
-      ChunkPatternCache pattern(arch, opt.pattern_cache);
-      KernelStats& stats = shards[chunk];
-      analysis::BlockChecker* chk = checkers[chunk].get();
-      profile::PhaseProfile* psink = profiling ? &pshards[chunk] : nullptr;
-      profile::BlockTimeline scratch_tl;
-      const auto want_timeline = [&](u64 i,
-                                     Dim3 bidx) -> profile::BlockTimeline* {
-        if (!profiling || i >= opt.profile_timeline_blocks) return nullptr;
-        scratch_tl = profile::BlockTimeline{};
-        scratch_tl.block = bidx;
-        scratch_tl.seq = i;
-        return &scratch_tl;
-      };
-      const auto keep_timeline = [&](profile::BlockTimeline* tl) {
-        if (tl != nullptr && !tl->slices.empty()) {
-          tshards[chunk].push_back(std::move(*tl));
-        }
-      };
-      if (replaying) {
-        // Per-chunk trace table, like the per-chunk cache replicas: each
-        // chunk captures its own class representatives, so shard contents
-        // stay a pure function of the chunk partition. A warm plan primes
-        // every chunk's table, so no chunk executes a representative.
-        runners[chunk] = std::make_unique<ReplayRunner>(
-            arch, body, cfg, opt.trace, opt.max_rounds_per_block, classify,
-            origins, pattern.get(), chk, psink, analytic);
-        ReplayRunner& runner = *runners[chunk];
-        if (plan_hit) {
-          runner.prime(plan);
-          if (!plan.pattern_blob.empty() && pattern.get() != nullptr) {
-            PlanReader pr(plan.pattern_blob);
-            (void)pattern.get()->restore(pr);
-          }
-        }
-        for (u64 i = b; i < e; ++i) {
-          const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-          profile::BlockTimeline* tl = want_timeline(i, bidx);
-          runner.run(bidx, &const_cache, l2_shadow, stats, tl);
-          keep_timeline(tl);
-        }
-        runner.finish(stats);
-        replayed[chunk] = runner.blocks_replayed();
-        if (plan_enabled && pattern.get() != nullptr) {
-          PlanWriter pw;
-          pattern.get()->save(pw);
-          pattern_blobs[chunk] = pw.take();
-        }
-      } else {
-        for (u64 i = b; i < e; ++i) {
-          const Dim3 bidx = unflatten(cfg.grid, set.flat_id(i));
-          profile::BlockTimeline* tl = want_timeline(i, bidx);
-          std::optional<profile::BlockProfiler> bp;
-          if (psink != nullptr) bp.emplace(*psink, tl);
-          run_block(arch, body, cfg, bidx, opt.trace,
-                    opt.max_rounds_per_block, &const_cache, l2_shadow, stats,
-                    nullptr, pattern.get(), chk, bp ? &*bp : nullptr);
-          keep_timeline(tl);
-        }
-      }
-      pattern.drain(stats);
-    });
-    for (const KernelStats& s : shards) res.stats += s;  // index order
-    for (const u64 r : replayed) res.blocks_replayed += r;
-    if (plan_enabled) {
-      bool dirty = false;
-      for (const auto& r : runners) {
-        dirty = dirty || (r != nullptr && r->captured_fresh());
-      }
-      if (dirty) {
-        LaunchPlan out = saved_plan(std::move(plan));
-        for (const auto& r : runners) {
-          if (r != nullptr) r->export_plan(out);  // index order, first wins
-        }
-        // One chunk's pattern tables are as good as another's (all are
-        // analyzer outputs); chunk 0's go to disk for determinism.
-        if (!pattern_blobs.empty() && !pattern_blobs[0].empty()) {
-          out.pattern_blob = std::move(pattern_blobs[0]);
-        }
-        store_plan(out);
-      }
-    }
-    for (profile::PhaseProfile& p : pshards) res.profile.phases += p;
-    for (std::vector<profile::BlockTimeline>& ts : tshards) {
-      for (profile::BlockTimeline& tl : ts) {
-        res.profile.timelines.push_back(std::move(tl));
-      }
-    }
-    if (opt.hazard_check) {
-      std::vector<analysis::BlockChecker*> ordered;
-      ordered.reserve(n_chunks);
-      for (const auto& c : checkers) ordered.push_back(c.get());
-      analysis::finalize_hazards(ordered, res.analysis);
     }
   }
   res.blocks_executed = res.stats.blocks_executed;

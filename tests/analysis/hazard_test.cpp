@@ -3,6 +3,8 @@
 // construction, launched with LaunchOptions::hazard_check.
 #include "src/analysis/hazard.hpp"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/launch.hpp"
@@ -277,7 +279,7 @@ TEST(Hazard, DisjointBlockWritesAreClean) {
 }
 
 TEST(Hazard, ParallelLaunchReportsIdenticalCounts) {
-  auto run = [](u32 threads) {
+  auto run = [](u32 threads, u32 devices = 1) {
     Device dev(kepler_k40m());
     auto arr = dev.alloc<float>(64);
     CrossWarpRwKernel k;
@@ -291,17 +293,30 @@ TEST(Hazard, ParallelLaunchReportsIdenticalCounts) {
     LaunchOptions opt;
     opt.hazard_check = true;
     opt.num_threads = threads;
+    // Batch sharding splits the flat grid into three two-block slabs.
+    opt.fleet.devices = devices;
     return launch(dev, k, cfg, opt);
   };
   const auto serial = run(1);
-  const auto parallel = run(3);
   EXPECT_GT(serial.analysis.races_total, 0u);
-  EXPECT_EQ(serial.analysis.races_total, parallel.analysis.races_total);
-  EXPECT_EQ(serial.analysis.blocks_checked, parallel.analysis.blocks_checked);
-  EXPECT_EQ(serial.analysis.hazards.size(), parallel.analysis.hazards.size());
-  // GM overlaps: all six blocks write the same 64 floats.
-  EXPECT_EQ(serial.analysis.gm_overlaps_total,
-            parallel.analysis.gm_overlaps_total);
+  for (const auto& [threads, devices] :
+       {std::pair<u32, u32>{3, 1}, {1, 3}, {2, 3}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "threads " << threads << ", devices " << devices);
+    const auto other = run(threads, devices);
+    if (devices > 1) {
+      EXPECT_EQ(other.fleet.device_reports.size(), devices);
+      for (const sim::FleetDeviceReport& d : other.fleet.device_reports) {
+        EXPECT_EQ(d.blocks, 2u);
+      }
+    }
+    EXPECT_EQ(serial.analysis.races_total, other.analysis.races_total);
+    EXPECT_EQ(serial.analysis.blocks_checked, other.analysis.blocks_checked);
+    EXPECT_EQ(serial.analysis.hazards.size(), other.analysis.hazards.size());
+    // GM overlaps: all six blocks write the same 64 floats.
+    EXPECT_EQ(serial.analysis.gm_overlaps_total,
+              other.analysis.gm_overlaps_total);
+  }
 }
 
 TEST(Hazard, MoreThan32WarpsPerBlockRejected) {

@@ -1,7 +1,9 @@
 // kconv-prof is purely observational: simulation outputs and every
-// existing counter must be bit-identical with profiling on or off, in all
-// three launch modes (serial, parallel, replay). docs/MODEL.md §7.
+// existing counter must be bit-identical with profiling on or off, in every
+// launch mode (serial, parallel, replay, fleet). docs/MODEL.md §7.
 // Mirrors tests/analysis/identity_test.cpp for kconv-check.
+#include <optional>
+
 #include <gtest/gtest.h>
 
 #include "src/kernels/general_conv.hpp"
@@ -50,13 +52,63 @@ struct ModeCase {
   const char* name;
   u32 threads;
   bool replay;
+  u32 devices = 1;  // > 1: a fleet launch, sharded along the kernel's axis
 };
 
+// The first mode is the serial reference every other mode is held to.
 constexpr ModeCase kModes[] = {
     {"serial", 1, false},
     {"parallel", 3, false},
     {"replay", 1, true},
+    {"fleet", 2, false, 2},
+    {"fleet-replay", 1, true, 3},
 };
+
+sim::LaunchOptions mode_options(const ModeCase& m, sim::ShardStrategy shard) {
+  sim::LaunchOptions opt;
+  opt.num_threads = m.threads;
+  opt.replay = m.replay;
+  opt.fleet.devices = m.devices;
+  opt.fleet.strategy = shard;
+  return opt;
+}
+
+/// Holds a profiled run to the serial profiled run. Outputs and the
+/// scheduling-invariant counters are bit-identical in every mode (the L2
+/// and constant-cache warmth pair depends on the chunk partition,
+/// docs/MODEL.md §5a). A mode that executes every block also captures the
+/// serial (block, seq) timeline list: chunk timelines merge back into
+/// launch order even where a channel shard interleaves flat ids across
+/// devices. Which blocks replay (and so record no timeline) depends on the
+/// partition, so replay modes skip that check.
+void expect_matches_serial(const kernels::KernelRun& serial,
+                           const kernels::KernelRun& r, const ModeCase& m) {
+  ASSERT_TRUE(r.output_valid);
+  expect_same_output(serial.output, r.output);
+  sim::KernelStats a = serial.launch.stats;
+  sim::KernelStats b = r.launch.stats;
+  a.gm_sectors_dram = b.gm_sectors_dram = 0;
+  a.const_line_misses = b.const_line_misses = 0;
+  expect_same_stats(a, b);
+  if (m.devices > 1) {
+    // Every device owns blocks, so the launch really is split.
+    ASSERT_EQ(r.launch.fleet.device_reports.size(), m.devices);
+    for (const sim::FleetDeviceReport& d : r.launch.fleet.device_reports) {
+      EXPECT_GT(d.blocks, 0u) << "device " << d.device;
+    }
+  }
+  if (m.replay) return;
+  const auto& want = serial.launch.profile.timelines;
+  const auto& got = r.launch.profile.timelines;
+  ASSERT_FALSE(want.empty());
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].seq, got[i].seq) << i;
+    EXPECT_EQ(want[i].block.x, got[i].block.x) << i;
+    EXPECT_EQ(want[i].block.y, got[i].block.y) << i;
+    EXPECT_EQ(want[i].block.z, got[i].block.z) << i;
+  }
+}
 
 TEST(ProfileIdentity, SpecialConvBitIdenticalWithProfilingOn) {
   Rng rng(7);
@@ -65,12 +117,12 @@ TEST(ProfileIdentity, SpecialConvBitIdenticalWithProfilingOn) {
   tensor::Tensor flt = tensor::Tensor::filters(8, 1, 3);
   flt.fill_random(rng);
 
+  std::optional<kernels::KernelRun> serial;
   for (const ModeCase& m : kModes) {
     SCOPED_TRACE(m.name);
     sim::Device dev(sim::kepler_k40m());
-    sim::LaunchOptions off;
-    off.num_threads = m.threads;
-    off.replay = m.replay;
+    const sim::LaunchOptions off =
+        mode_options(m, sim::ShardStrategy::Spatial);
     const auto base = kernels::special_conv(dev, img, flt, {}, off);
 
     sim::LaunchOptions on = off;
@@ -89,6 +141,11 @@ TEST(ProfileIdentity, SpecialConvBitIdenticalWithProfilingOn) {
     EXPECT_FALSE(base.launch.profile.enabled);
     EXPECT_TRUE(base.launch.profile.timelines.empty());
     EXPECT_TRUE(profiled.launch.profile.enabled);
+    if (!serial) {
+      serial = profiled;
+    } else {
+      expect_matches_serial(*serial, profiled, m);
+    }
   }
 }
 
@@ -96,15 +153,17 @@ TEST(ProfileIdentity, GeneralConvBitIdenticalWithProfilingOn) {
   Rng rng(11);
   tensor::Tensor img = tensor::Tensor::image(4, 12, 66);
   img.fill_random(rng);
-  tensor::Tensor flt = tensor::Tensor::filters(64, 4, 3);
+  // 192 filters = three 64-filter groups, so every fleet device owns a
+  // channel shard and device timelines interleave in launch order.
+  tensor::Tensor flt = tensor::Tensor::filters(192, 4, 3);
   flt.fill_random(rng);
 
+  std::optional<kernels::KernelRun> serial;
   for (const ModeCase& m : kModes) {
     SCOPED_TRACE(m.name);
     sim::Device dev(sim::kepler_k40m());
-    sim::LaunchOptions off;
-    off.num_threads = m.threads;
-    off.replay = m.replay;
+    const sim::LaunchOptions off =
+        mode_options(m, sim::ShardStrategy::Channel);
     const auto base = kernels::general_conv(dev, img, flt, {}, off);
 
     sim::LaunchOptions on = off;
@@ -116,6 +175,11 @@ TEST(ProfileIdentity, GeneralConvBitIdenticalWithProfilingOn) {
     ASSERT_TRUE(profiled.output_valid);
     expect_same_output(base.output, profiled.output);
     EXPECT_EQ(base.launch.blocks_replayed, profiled.launch.blocks_replayed);
+    if (!serial) {
+      serial = profiled;
+    } else {
+      expect_matches_serial(*serial, profiled, m);
+    }
   }
 }
 
@@ -126,12 +190,11 @@ TEST(ProfileIdentity, ImplicitGemmBitIdenticalWithProfilingOn) {
   tensor::Tensor flt = tensor::Tensor::filters(16, 2, 3);
   flt.fill_random(rng);
 
+  std::optional<kernels::KernelRun> serial;
   for (const ModeCase& m : kModes) {
     SCOPED_TRACE(m.name);
     sim::Device dev(sim::kepler_k40m());
-    sim::LaunchOptions off;
-    off.num_threads = m.threads;
-    off.replay = m.replay;
+    const sim::LaunchOptions off = mode_options(m, sim::ShardStrategy::Batch);
     const auto base = kernels::implicit_gemm_conv(dev, img, flt, {}, off);
 
     sim::LaunchOptions on = off;
@@ -142,6 +205,11 @@ TEST(ProfileIdentity, ImplicitGemmBitIdenticalWithProfilingOn) {
     ASSERT_TRUE(base.output_valid);
     ASSERT_TRUE(profiled.output_valid);
     expect_same_output(base.output, profiled.output);
+    if (!serial) {
+      serial = profiled;
+    } else {
+      expect_matches_serial(*serial, profiled, m);
+    }
   }
 }
 
