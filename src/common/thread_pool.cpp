@@ -6,10 +6,19 @@
 
 namespace kconv {
 
+namespace {
+
+/// Set once per worker thread, for ThreadPool::current().
+thread_local ThreadPool* tls_pool = nullptr;
+
+}  // namespace
+
 u32 ThreadPool::resolve_threads(u32 requested) {
   if (requested != 0) return requested;
   return std::max(1u, std::thread::hardware_concurrency());
 }
+
+ThreadPool* ThreadPool::current() { return tls_pool; }
 
 ThreadPool::ThreadPool(u32 threads) {
   const u32 n = resolve_threads(threads);
@@ -28,39 +37,53 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop() {
-  u64 seen_seq = 0;
+ThreadPool::Job* ThreadPool::open_job() const {
+  for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it) {
+    if ((*it)->open()) return *it;
+  }
+  return nullptr;
+}
+
+void ThreadPool::drain(Job& job, bool helper) {
+  // Claim chunks until the job's counter runs dry (the "stealing": fast
+  // threads keep claiming whatever slower ones have not).
+  u64 ran = 0;
+  std::exception_ptr err;
   while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen_seq; });
-      if (stop_) return;
-      seen_seq = job_seq_;
-      ++joined_;
-      ++running_;
+    const u64 c = job.next_chunk.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.n_chunks) break;
+    const u64 b = job.begin + c * job.grain;
+    const u64 e = std::min(b + job.grain, job.end);
+    try {
+      (*job.body)(b, e, static_cast<u32>(c));
+    } catch (...) {
+      if (!err) err = std::current_exception();
     }
+    ++ran;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (helper) --job.helpers;
+  job.finished += ran;
+  if (err && !job.error) job.error = err;
+  if (job.retired()) done_cv_.notify_all();
+}
 
-    // Claim chunks until the shared counter runs dry (the "stealing": fast
-    // workers keep claiming whatever slower ones have not).
-    std::exception_ptr err;
-    while (true) {
-      const u64 c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-      if (c >= n_chunks_) break;
-      const u64 b = begin_ + c * grain_;
-      const u64 e = std::min(b + grain_, end_);
-      try {
-        (*body_)(b, e, static_cast<u32>(c));
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (err && !error_) error_ = err;
-      --running_;
-      if (running_ == 0 && joined_ == workers_.size()) done_cv_.notify_all();
-    }
+void ThreadPool::worker_loop() {
+  tls_pool = this;
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    Job* job = nullptr;
+    work_cv_.wait(lock, [&] {
+      job = stop_ ? nullptr : open_job();
+      return stop_ || job != nullptr;
+    });
+    if (stop_) return;
+    // A registered helper keeps the job from retiring (and its caller's
+    // frame from unwinding) until it has booked its chunks.
+    ++job->helpers;
+    lock.unlock();
+    drain(*job, /*helper=*/true);
+    lock.lock();
   }
 }
 
@@ -69,28 +92,26 @@ void ThreadPool::parallel_for(u64 begin, u64 end, u64 grain,
   if (end <= begin) return;
   KCONV_CHECK(grain >= 1, "parallel_for grain must be positive");
 
-  std::unique_lock<std::mutex> lock(mu_);
-  KCONV_CHECK(body_ == nullptr, "ThreadPool::parallel_for is not reentrant");
-  body_ = &body;
-  begin_ = begin;
-  end_ = end;
-  grain_ = grain;
-  n_chunks_ = (end - begin + grain - 1) / grain;
-  next_chunk_.store(0, std::memory_order_relaxed);
-  joined_ = 0;
-  running_ = 0;
-  error_ = nullptr;
-  ++job_seq_;
-  work_cv_.notify_all();
+  Job job;
+  job.body = &body;
+  job.begin = begin;
+  job.end = end;
+  job.grain = grain;
+  job.n_chunks = (end - begin + grain - 1) / grain;
 
-  // Wait until every worker both observed the job and left its drain loop;
-  // afterwards no worker can still be reading the job state, so it is safe
-  // to reset (and for the next call to rewrite) it.
-  done_cv_.wait(lock, [&] { return joined_ == workers_.size() && running_ == 0; });
-  body_ = nullptr;
-  n_chunks_ = 0;
-  const std::exception_ptr err = error_;
-  error_ = nullptr;
+  std::unique_lock<std::mutex> lock(mu_);
+  jobs_.push_back(&job);
+  work_cv_.notify_all();
+  if (tls_pool == this) {
+    // Nested job: the calling worker drains it too, so it completes even
+    // when no other worker is idle.
+    lock.unlock();
+    drain(job, /*helper=*/false);
+    lock.lock();
+  }
+  done_cv_.wait(lock, [&] { return job.retired(); });
+  jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+  const std::exception_ptr err = job.error;
   lock.unlock();
   if (err) std::rethrow_exception(err);
 }

@@ -8,10 +8,17 @@
 // chunk *indices* stay deterministic, which is what lets callers keep
 // per-chunk state (stats shards, cache replicas) and merge it in index
 // order regardless of which worker ran which chunk.
+//
+// parallel_for is reentrant: a chunk body running on one of the pool's own
+// workers may call it again (trace replay splits a large block's lanes this
+// way, docs/MODEL.md §5b). The nested job is published to the same workers;
+// idle ones join it, and the calling worker drains it too, so a nested job
+// completes even when every other worker is busy.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -23,8 +30,11 @@ namespace kconv {
 
 /// Persistent worker pool executing chunked parallel-for jobs.
 ///
-/// One job runs at a time (parallel_for blocks the caller); the workers
-/// survive across jobs so repeated launches do not pay thread creation.
+/// Any number of jobs may be in flight: top-level jobs from outside threads
+/// (each caller blocks until its own job drained) and nested jobs published
+/// by the pool's workers. Idle workers always take the newest job that
+/// still has unclaimed chunks. The workers survive across jobs so repeated
+/// launches do not pay thread creation.
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -42,36 +52,53 @@ class ThreadPool {
   /// Splits [begin, end) into chunks of at most `grain` items and runs
   /// `body` on the workers (chunk k covers [begin + k*grain, ...)). Blocks
   /// until every chunk finished; rethrows the first exception a body threw
-  /// (remaining chunks still run to completion first).
+  /// (remaining chunks still run to completion first). Called from one of
+  /// this pool's workers, the caller drains the job alongside any idle
+  /// workers; called from any other thread, only the workers run chunks.
   void parallel_for(u64 begin, u64 end, u64 grain, const ChunkBody& body);
+
+  /// The pool the calling thread is a worker of, or nullptr.
+  static ThreadPool* current();
 
   /// Maps a user-facing thread-count request to an actual count:
   /// 0 = hardware concurrency (at least 1), anything else verbatim.
   static u32 resolve_threads(u32 requested);
 
  private:
+  /// One in-flight parallel_for, owned by its caller's stack frame. The
+  /// descriptor fields are immutable once published; `finished`, `helpers`
+  /// and `error` are guarded by mu_.
+  struct Job {
+    const ChunkBody* body = nullptr;
+    u64 begin = 0;
+    u64 end = 0;
+    u64 grain = 1;
+    u64 n_chunks = 0;
+    std::atomic<u64> next_chunk{0};
+    u64 finished = 0;  // chunks run to completion
+    u32 helpers = 0;   // workers currently draining this job
+    std::exception_ptr error;
+
+    bool open() const {
+      return next_chunk.load(std::memory_order_relaxed) < n_chunks;
+    }
+    bool retired() const { return finished == n_chunks && helpers == 0; }
+  };
+
   void worker_loop();
+  /// Newest published job with unclaimed chunks (mu_ held), or nullptr.
+  Job* open_job() const;
+  /// Claims and runs chunks of `job` until none are left, then books the
+  /// finished chunks and the first error into the job under mu_ (a
+  /// `helper` also deregisters itself there).
+  void drain(Job& job, bool helper);
 
   std::vector<std::thread> workers_;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // signals workers: new job / shutdown
-  std::condition_variable done_cv_;  // signals caller: job drained
-
-  // State of the in-flight job. Written by the caller under mu_ before the
-  // job_seq_ bump; workers first read it after observing the bump under mu_,
-  // and the caller only rewrites it after every worker checked in and out
-  // again — so the lock-free reads inside the drain loop are race-free.
-  const ChunkBody* body_ = nullptr;
-  u64 begin_ = 0;
-  u64 end_ = 0;
-  u64 grain_ = 1;
-  u64 n_chunks_ = 0;
-  std::atomic<u64> next_chunk_{0};
-  u64 job_seq_ = 0;    // bumped per job so sleeping workers spot new work
-  u32 joined_ = 0;     // workers that observed the current job
-  u32 running_ = 0;    // workers currently inside the drain loop
-  std::exception_ptr error_;
+  std::condition_variable done_cv_;  // signals callers: a job drained
+  std::vector<Job*> jobs_;           // published, not yet retired; newest last
   bool stop_ = false;
 };
 

@@ -116,6 +116,10 @@ class ServingDriver {
   };
 
   ServeOptions opt_;
+  /// Drain workers: each claims whole requests and runs their launches
+  /// inline. A worker whose own request is done also helps the others'
+  /// large replayed blocks fast-forward (docs/MODEL.md §5b), so a drain's
+  /// slow request borrows the workers its fast ones released.
   ThreadPool pool_;
   mutable std::mutex mu_;
   std::vector<Pending> queue_;

@@ -41,13 +41,17 @@ struct LaunchOptions {
   u64 sample_max_blocks = 0;
   /// Invalidate L2 before the launch (true mimics a cold kernel call).
   bool reset_l2 = true;
-  /// Host worker threads simulating the grid's blocks. 1 (default) is the
-  /// exact-legacy serial path: every block runs through the device's single
-  /// L2 and one shared constant cache. >1 shards the block list into
-  /// contiguous chunks, each with its own L2 shadow and constant-cache
-  /// replica (closer to real concurrent SMXs; see docs/MODEL.md §5a —
-  /// outputs and all non-cache counters are identical to the serial path).
-  /// 0 means std::thread::hardware_concurrency().
+  /// The launch's chunk partition. 1 (default) is the exact-legacy serial
+  /// path: every block runs through the device's single L2 and one shared
+  /// constant cache. >1 shards the block list into contiguous chunks, each
+  /// with its own L2 shadow and constant-cache replica, run on that many
+  /// host worker threads (closer to real concurrent SMXs; see
+  /// docs/MODEL.md §5a — outputs and all non-cache counters are identical
+  /// to the serial path). 0 means std::thread::hardware_concurrency().
+  /// This fixes the modeled partition and every counter, not the host
+  /// thread count: a launch running on a ThreadPool worker may also borrow
+  /// that pool's idle workers to fast-forward large replayed blocks (§5b),
+  /// which changes no counter.
   u32 num_threads = 1;
   /// Trace-capture block replay (docs/MODEL.md §5b): run the scheduler once
   /// per block equivalence class and fast-forward the remaining blocks,

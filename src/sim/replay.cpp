@@ -11,6 +11,7 @@
 
 #include "src/analysis/hazard.hpp"
 #include "src/common/strutil.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/sim/constmem.hpp"
 
 namespace kconv::sim {
@@ -62,7 +63,7 @@ void ReplayRunner::run(Dim3 block_idx, L2Cache* const_cache, L2Cache& gm_l2,
     if (cs.tape_ready && cs.validated) {
       enqueue_tape(block_idx, cs, stats);
     } else {
-      replay(block_idx, cs.trace, const_cache, gm_l2, stats);
+      replay(block_idx, cs, const_cache, gm_l2, stats);
       if (checker_ != nullptr) harvest_gm_stores(block_idx);
       if (cs.tape_ready) {
         // The first fast-forward block of the class doubles as the tape's
@@ -225,9 +226,10 @@ void ReplayRunner::export_plan(LaunchPlan& plan) const {
   }
 }
 
-void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
+void ReplayRunner::replay(Dim3 block_idx, ClassState& cs,
                           L2Cache* const_cache, L2Cache& gm_l2,
                           KernelStats& stats) {
+  const BlockTrace& trace = cs.trace;
   const u32 n_lanes = static_cast<u32>(cfg_.block.count());
   KCONV_ASSERT(trace.lane_events.size() == n_lanes);
 
@@ -239,8 +241,16 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
   if (psink_ != nullptr) {
     lane_profiles_.assign(n_lanes, profile::LaneProfile{});
   }
+  // Each lane's global/constant accesses are exactly its entries in the
+  // trace's retire-order lane lists; reserving them here keeps the
+  // recorders from growing on borrowed helper threads.
+  if (cs.lane_accesses.empty()) {
+    cs.lane_accesses.assign(n_lanes, 0);
+    for (const u32 t : trace.tx_lanes) ++cs.lane_accesses[t];
+  }
   for (u32 t = 0; t < n_lanes; ++t) {
     recorders_[t].reset(trace.lane_events[t]);
+    recorders_[t].analyzed.reserve(cs.lane_accesses[t]);
     ReplayLane& lane = lanes_[t];
     lane.ctx.grid_dim = cfg_.grid;
     lane.ctx.block_dim = cfg_.block;
@@ -255,28 +265,8 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
     KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
   }
 
-  // Fast-forward: one pass resumes every live lane to its next barrier (or
-  // to completion) — the lane's memory ops record instead of suspending.
-  // Each pass is one barrier segment, so pass boundaries ARE the barrier
-  // semantics; per-lane order within a segment is free (task.hpp contract).
   // Runaway loops are caught by the recorder's event cap.
-  u32 done_count = 0;
-  while (done_count < n_lanes) {
-    for (u32 t = 0; t < n_lanes; ++t) {
-      ReplayLane& lane = lanes_[t];
-      if (lane.done) continue;
-      lane.prog.resume();
-      if (lane.prog.done()) {
-        if (lane.prog.promise().error) {
-          std::rethrow_exception(lane.prog.promise().error);
-        }
-        lane.done = true;
-        ++done_count;
-      } else {
-        KCONV_ASSERT(lane.prog.promise().pending.op == Op::Sync);
-      }
-    }
-  }
+  fast_forward(trace);
 
   // Congruence check: the replayed block must have issued the same event
   // stream (ops, widths, shared offsets, sync placement) as the captured
@@ -395,6 +385,57 @@ void ReplayRunner::replay(Dim3 block_idx, const BlockTrace& trace,
   ++stats.blocks_executed;
 }
 
+void ReplayRunner::fast_forward(const BlockTrace& trace) {
+  const u32 n_lanes = static_cast<u32>(lanes_.size());
+
+  // One pass resumes every live lane to its next barrier (or to
+  // completion) — the lane's memory ops record instead of suspending. Each
+  // pass is one barrier segment, so pass boundaries ARE the barrier
+  // semantics; per-lane order within a segment is free (task.hpp
+  // contract), which is what lets a pass run its lanes concurrently. On a
+  // pool worker, a block whose segments are heavy enough resumes each
+  // segment's lanes as a nested job over lane ranges: idle workers of the
+  // pool join, this thread drains it too, and the finished job is the
+  // barrier. Every lane's state is private to its range (recorder, lane
+  // profile, coroutine), so nothing the caller reads afterwards depends
+  // on which thread ran which range.
+  ThreadPool* const pool = ThreadPool::current();
+  u64 grain = n_lanes;
+  if (pool != nullptr && pool->size() > 1) {
+    u64 events = 0;
+    for (const u32 e : trace.lane_events) events += e;
+    if (events >= kSplitEventsPerSegment * (trace.invariant.barriers + 1)) {
+      grain = static_cast<u64>(ceil_div(n_lanes, 2 * pool->size()));
+    }
+  }
+  const auto resume = [this](u64 lo, u64 hi, u32 /*chunk*/) {
+    for (u64 t = lo; t < hi; ++t) {
+      ThreadProgram& prog = lanes_[t].prog;
+      if (!prog.done()) prog.resume();
+    }
+  };
+
+  u32 live = n_lanes;
+  while (live > 0) {
+    if (grain < n_lanes) {
+      pool->parallel_for(0, n_lanes, grain, resume);
+    } else {
+      resume(0, n_lanes, 0);
+    }
+    // The lowest lane's error wins, as in a lane-order serial pass.
+    live = 0;
+    for (u32 t = 0; t < n_lanes; ++t) {
+      const ThreadProgram& prog = lanes_[t].prog;
+      if (!prog.done()) {
+        KCONV_ASSERT(prog.promise().pending.op == Op::Sync);
+        ++live;
+      } else if (prog.promise().error) {
+        std::rethrow_exception(prog.promise().error);
+      }
+    }
+  }
+}
+
 void ReplayRunner::harvest_gm_stores(Dim3 block_idx) {
   // The fast-forward recorders keep every global/constant access of the
   // replayed block; feed the stores (lane-major — interval order does not
@@ -437,23 +478,7 @@ void ReplayRunner::capture_tape(Dim3 block_idx, ClassState& cs) {
     lane.prog = body_(lane.ctx);
     KCONV_CHECK(lane.prog.valid(), "kernel body returned an empty program");
   }
-  u32 done_count = 0;
-  while (done_count < n_lanes) {
-    for (u32 t = 0; t < n_lanes; ++t) {
-      ReplayLane& lane = lanes_[t];
-      if (lane.done) continue;
-      lane.prog.resume();
-      if (lane.prog.done()) {
-        if (lane.prog.promise().error) {
-          std::rethrow_exception(lane.prog.promise().error);
-        }
-        lane.done = true;
-        ++done_count;
-      } else {
-        KCONV_ASSERT(lane.prog.promise().pending.op == Op::Sync);
-      }
-    }
-  }
+  fast_forward(cs.trace);
 
   // Shrink each lane's register file to its peak liveness — the builder's
   // SSA-style allocation would otherwise make the interpreter DRAM-bound.

@@ -12,6 +12,8 @@
 //     direct execution (loads/stores already apply at awaitable
 //     construction, and kernels separate conflicting cross-lane shared
 //     accesses with sync(), so per-lane order within a segment is free).
+//     On a ThreadPool worker, a block with heavy segments resumes each
+//     segment's lanes over the pool's idle workers (fast_forward).
 //   * Translation-invariant counters (bank conflicts, constant broadcasts,
 //     instruction/byte counts, barriers, phases) are added from the trace.
 //   * Address-dependent counters are recomputed against this block's own
@@ -152,6 +154,9 @@ class ReplayRunner {
       std::byte* wbase[ReplayOrigins::kMaxOrigins];
     };
     std::vector<PendingBlock> pending;
+    /// Global/constant accesses per lane (counted from trace.tx_lanes on
+    /// the class's first fast-forward), for pre-sizing the recorders.
+    std::vector<u32> lane_accesses;
   };
 
   /// Tape blocks interpreted per batch: the batch dimension is the
@@ -161,8 +166,23 @@ class ReplayRunner {
   /// origin base pointers differ).
   static constexpr u32 kTapeBatch = 32;
 
-  void replay(Dim3 block_idx, const BlockTrace& trace, L2Cache* const_cache,
+  /// Fast-forward split gate: a block's lanes are resumed over borrowed
+  /// pool workers only when its barrier segments average at least this
+  /// many lane events (sync events included), so a nested job's publish
+  /// and wake-up cost stays small next to the work it spreads. Sized on
+  /// the served layers: lenet-wide's conv blocks average 18.6K (conv_1)
+  /// and 9.5K (conv_2) events per segment and split; lenet's and
+  /// vgg-tiny's convs (at most 4.5K) and the pool and bias+ReLU row blocks
+  /// (640 in a single segment) stay serial.
+  static constexpr u64 kSplitEventsPerSegment = 8192;
+
+  void replay(Dim3 block_idx, ClassState& cs, L2Cache* const_cache,
               L2Cache& gm_l2, KernelStats& stats);
+  /// Runs lanes_ (bound and created by the caller) barrier segment by
+  /// barrier segment until every lane finished, rethrowing the lowest
+  /// lane's error. Splits each segment over the calling worker's pool
+  /// when `trace` shows enough events per segment (see above).
+  void fast_forward(const BlockTrace& trace);
   /// Analytic serving: charges the class's invariant + compute + addr_dep
   /// deltas (and the matching phase slices) without touching memory.
   void serve_analytic(const ClassState& cs, KernelStats& stats);
@@ -205,7 +225,6 @@ class ReplayRunner {
   struct ReplayLane {
     ThreadProgram prog;
     ThreadCtx ctx;
-    bool done = false;
   };
   std::vector<ReplayLane> lanes_;
   std::vector<LaneRecorder> recorders_;

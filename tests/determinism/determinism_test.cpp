@@ -26,46 +26,14 @@
 #include "src/kernels/general_conv.hpp"
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/device.hpp"
+#include "tests/support/determinism.hpp"
 
 namespace kconv {
 namespace {
 
-/// Counters that must match the serial path bit for bit regardless of
-/// thread count. Excludes gm_sectors_dram and const_line_misses (cache
-/// warmth — see docs/MODEL.md §5a) which the full comparison covers.
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
-void expect_all_stats_equal(const sim::KernelStats& a,
-                            const sim::KernelStats& b) {
-  expect_scheduling_invariant_stats(a, b);
-  EXPECT_EQ(a.gm_sectors_dram, b.gm_sectors_dram);
-  EXPECT_EQ(a.const_line_misses, b.const_line_misses);
-}
-
-void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testsupport::expect_scheduling_invariant_stats;
+using testsupport::expect_all_stats_equal;
+using testsupport::expect_bytes_equal;
 
 kernels::KernelRun run_special(u32 num_threads) {
   Rng rng(7);

@@ -12,8 +12,6 @@
 //     including the modeled transfer ledgers;
 //   - a spatial shard on a halo-bearing shape reports real d2d traffic
 //     ((K-1) input rows per interior cut) while still matching bytes.
-#include <cstring>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,36 +20,13 @@
 #include "src/common/rng.hpp"
 #include "src/core/conv_api.hpp"
 #include "src/sim/device.hpp"
+#include "tests/support/determinism.hpp"
 
 namespace kconv {
 namespace {
 
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
-void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testsupport::expect_scheduling_invariant_stats;
+using testsupport::expect_bytes_equal;
 
 struct FleetMode {
   u32 devices;

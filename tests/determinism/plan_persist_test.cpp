@@ -17,9 +17,7 @@
 //   - warm autotune returns the stored ranking bit-exact without
 //     simulating a single candidate.
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,9 +32,12 @@
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
 #include "src/sim/plan_cache.hpp"
+#include "tests/support/determinism.hpp"
 
 namespace kconv {
 namespace {
+
+using testsupport::expect_bytes_equal;
 
 namespace fs = std::filesystem;
 
@@ -74,11 +75,6 @@ void expect_invariant_stats(const sim::KernelStats& a,
   EXPECT_EQ(a.divergent_retires, b.divergent_retires);
   EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
   EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
-void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 struct RunParams {
@@ -138,6 +134,21 @@ kernels::KernelRun run_special(const RunParams& p) {
   kernels::SpecialConvConfig cfg;
   cfg.block_w = 16;
   cfg.block_h = 4;
+  return kernels::special_conv(dev, img, flt, cfg, options(p));
+}
+
+/// Lenet-wide's first layer: blocks heavy enough that a launch on a pool
+/// worker splits fast-forward over the idle workers (docs/MODEL.md §5b).
+kernels::KernelRun run_special_wide(const RunParams& p) {
+  Rng rng(37);
+  tensor::Tensor img = tensor::Tensor::image(1, 36, 36);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(48, 1, 5);
+  flt.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  kernels::SpecialConvConfig cfg;
+  cfg.block_w = 64;
+  cfg.block_h = 8;
   return kernels::special_conv(dev, img, flt, cfg, options(p));
 }
 
@@ -245,6 +256,26 @@ TEST(PlanPersist, TimingLevelPlansRoundTrip) {
   EXPECT_TRUE(warm.launch.plan_cache_hit);
   expect_bytes_equal(warm.output.flat(), cold.output.flat());
   expect_invariant_stats(warm.launch.stats, cold.launch.stats);
+
+  // A warm launch on a pool worker, over the fast-forward split gate:
+  // every block replays from the plan with borrowed helpers, and still
+  // probes the serial caches exactly as direct execution does.
+  sim::PlanCache wide_plans(fresh_dir("timing_wide"));
+  const auto direct = run_special_wide(
+      {.plans = nullptr, .replay = false, .trace = sim::TraceLevel::Timing});
+  (void)run_special_wide(
+      {.plans = &wide_plans, .trace = sim::TraceLevel::Timing});
+  const auto wide_warm = testsupport::run_on_pool_worker([&] {
+    return run_special_wide(
+        {.plans = &wide_plans, .trace = sim::TraceLevel::Timing});
+  });
+  EXPECT_TRUE(wide_warm.launch.plan_cache_hit);
+  EXPECT_EQ(wide_warm.launch.blocks_replayed, wide_warm.launch.blocks_total);
+  ASSERT_TRUE(wide_warm.output_valid);
+  expect_bytes_equal(wide_warm.output.flat(), direct.output.flat());
+  testsupport::expect_all_stats_equal(wide_warm.launch.stats,
+                                      direct.launch.stats);
+  expect_invariant_stats(wide_warm.launch.stats, direct.launch.stats);
 }
 
 TEST(PlanPersist, AnalyticServesExactInvariantCountersWithoutOutputs) {

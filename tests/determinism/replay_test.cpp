@@ -15,9 +15,7 @@
 //   - a kernel that misdeclares replay_class — lumping non-congruent
 //     blocks into one class — fails loudly instead of charging wrong
 //     counters.
-#include <cstring>
 #include <initializer_list>
-#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,39 +28,14 @@
 #include "src/kernels/special_conv.hpp"
 #include "src/sim/device.hpp"
 #include "src/sim/launch.hpp"
+#include "tests/support/determinism.hpp"
 
 namespace kconv {
 namespace {
 
-/// Counters that must match the direct path bit for bit under replay.
-/// Excludes gm_sectors_dram and const_line_misses, which depend on cache
-/// warmth and are only compared on serial timing launches (see below).
-void expect_scheduling_invariant_stats(const sim::KernelStats& a,
-                                       const sim::KernelStats& b) {
-  EXPECT_EQ(a.fma_lane_ops, b.fma_lane_ops);
-  EXPECT_EQ(a.fma_warp_instrs, b.fma_warp_instrs);
-  EXPECT_EQ(a.alu_lane_ops, b.alu_lane_ops);
-  EXPECT_EQ(a.alu_warp_instrs, b.alu_warp_instrs);
-  EXPECT_EQ(a.smem_instrs, b.smem_instrs);
-  EXPECT_EQ(a.smem_request_cycles, b.smem_request_cycles);
-  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
-  EXPECT_EQ(a.gm_instrs, b.gm_instrs);
-  EXPECT_EQ(a.gm_sectors, b.gm_sectors);
-  EXPECT_EQ(a.gm_bytes_useful, b.gm_bytes_useful);
-  EXPECT_EQ(a.const_instrs, b.const_instrs);
-  EXPECT_EQ(a.const_requests, b.const_requests);
-  EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.gm_phases, b.gm_phases);
-  EXPECT_EQ(a.gm_dep_phases, b.gm_dep_phases);
-  EXPECT_EQ(a.divergent_retires, b.divergent_retires);
-  EXPECT_EQ(a.max_warp_instrs, b.max_warp_instrs);
-  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
-}
-
-void expect_bytes_equal(std::span<const float> a, std::span<const float> b) {
-  ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
-}
+using testsupport::expect_all_stats_equal;
+using testsupport::expect_scheduling_invariant_stats;
+using testsupport::expect_bytes_equal;
 
 struct RunParams {
   bool replay = false;
@@ -165,6 +138,35 @@ kernels::KernelRun run_bias_relu(const RunParams& p) {
   return kernels::bias_relu(dev, img, bias, options(p));
 }
 
+/// Shapes whose barrier segments carry enough lane events that a launch
+/// on a pool worker resumes each segment's lanes over the idle workers
+/// (docs/MODEL.md §5b): lenet-wide's first layer (C = 1, 48 filters), and
+/// a general conv staging two channels per segment.
+kernels::KernelRun run_special_wide(const RunParams& p) {
+  Rng rng(37);
+  tensor::Tensor img = tensor::Tensor::image(1, 36, 36);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(48, 1, 5);
+  flt.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  kernels::SpecialConvConfig cfg;
+  cfg.block_w = 64;
+  cfg.block_h = 8;
+  return kernels::special_conv(dev, img, flt, cfg, options(p));
+}
+
+kernels::KernelRun run_general_wide(const RunParams& p) {
+  Rng rng(41);
+  tensor::Tensor img = tensor::Tensor::image(16, 16, 16);
+  img.fill_random(rng);
+  tensor::Tensor flt = tensor::Tensor::filters(96, 16, 5);
+  flt.fill_random(rng);
+  sim::Device dev(sim::kepler_k40m());
+  kernels::GeneralConvConfig cfg = kernels::table1_config(5);
+  cfg.csh = 2;
+  return kernels::general_conv(dev, img, flt, cfg, options(p));
+}
+
 using Runner = kernels::KernelRun (*)(const RunParams&);
 
 /// Replay on vs. off: byte-identical outputs, equal invariant counters,
@@ -243,6 +245,24 @@ TEST(TraceReplay, SerialTimingLaunchMatchesCacheCountersExactly) {
             replayed.launch.stats.const_line_misses);
   expect_bytes_equal(direct.output.flat(), replayed.output.flat());
   EXPECT_GT(replayed.launch.blocks_replayed, 0u);
+
+  // The same holds when the launch runs on a pool worker and fast-forward
+  // borrows the idle workers: the split only changes which host thread
+  // resumes a lane, never the walk that probes the caches. Functional
+  // launches of the special kernel also split the tape-tagging re-run.
+  for (const Runner run : {&run_special_wide, &run_general_wide}) {
+    for (const sim::TraceLevel trace :
+         {sim::TraceLevel::Timing, sim::TraceLevel::Functional}) {
+      const auto wide_direct = run({.replay = false, .trace = trace});
+      const auto wide_replayed = testsupport::run_on_pool_worker(
+          [&] { return run({.replay = true, .trace = trace}); });
+      expect_all_stats_equal(wide_direct.launch.stats,
+                             wide_replayed.launch.stats);
+      expect_bytes_equal(wide_direct.output.flat(),
+                         wide_replayed.output.flat());
+      EXPECT_GT(wide_replayed.launch.blocks_replayed, 0u);
+    }
+  }
 }
 
 /// Writes each block's flat id to its output slot: blocks are NOT
@@ -251,11 +271,18 @@ TEST(TraceReplay, SerialTimingLaunchMatchesCacheCountersExactly) {
 class PerBlockStoreKernel {
  public:
   sim::BufferView<float> data;
+  /// Shared-memory stores every lane issues first: enough of them put the
+  /// block over the fast-forward split gate.
+  i64 padding = 0;
   /// Deliberately wrong: lumps every block into one class even though
   /// blocks disagree on their event streams (see operator()).
   u64 replay_class(sim::Dim3) const { return 0; }
 
   sim::ThreadProgram operator()(sim::ThreadCtx& t) const {
+    const sim::SharedView<float> sh = t.shared<float>(0, t.block_dim.x);
+    for (i64 i = 0; i < padding; ++i) {
+      co_await t.st_shared(sh, t.thread_idx.x, static_cast<float>(i));
+    }
     // Block 0 issues one store, every other block two: the event streams
     // differ, so fast-forwarding block 1 against block 0's trace must
     // fail the congruence check.
@@ -280,6 +307,14 @@ TEST(TraceReplay, MisdeclaredClassifierFailsLoudly) {
   sim::LaunchOptions opt;
   opt.replay = true;
   EXPECT_THROW(sim::launch(dev, k, cfg, opt), Error);
+
+  // On a pool worker, over the split gate: the violation surfaces from
+  // borrowed helper threads and must still fail loudly, not hang.
+  k.padding = 320;
+  cfg.shared_bytes = 32 * sizeof(float);
+  EXPECT_THROW(testsupport::run_on_pool_worker(
+                   [&] { return sim::launch(dev, k, cfg, opt); }),
+               Error);
 }
 
 /// Same kernel shape, no replay_class hook: replay must never engage.
