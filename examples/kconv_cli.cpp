@@ -36,10 +36,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/common/strutil.hpp"
 #include "src/core/autotune.hpp"
 #include "src/core/conv_api.hpp"
@@ -139,6 +141,36 @@ void print_usage(std::FILE* to, const char* argv0) {
 [[noreturn]] void usage(const char* argv0) {
   print_usage(stderr, argv0);
   std::exit(2);
+}
+
+// Prints an --autotune result: the JSON document, or two text lines.
+// `best_json` writes the winner's tiling members; `best_text` spells them.
+template <typename Result>
+void print_autotune(bool json, const char* kernel, const Result& r,
+                    const std::function<void(JsonWriter&)>& best_json,
+                    const std::string& best_text) {
+  if (!json) {
+    std::printf("autotune %s: %lld evaluated, %lld skipped, %lld pruned%s\n",
+                kernel, static_cast<long long>(r.evaluated),
+                static_cast<long long>(r.skipped),
+                static_cast<long long>(r.pruned),
+                r.from_plan_cache ? " (ranking served from plan cache)" : "");
+    std::printf("best: %s   %.1f GFlop/s\n", best_text.c_str(),
+                r.best.gflops);
+    return;
+  }
+  JsonWriter w;
+  w.begin_object()
+      .kv("kernel", kernel)
+      .kv("evaluated", r.evaluated)
+      .kv("skipped", r.skipped)
+      .kv("pruned", r.pruned)
+      .kv("from_plan_cache", r.from_plan_cache)
+      .key("best")
+      .begin_object();
+  best_json(w);
+  w.kv("gflops", r.best.gflops).end_object().end_object();
+  std::printf("%s\n", w.str().c_str());
 }
 
 }  // namespace
@@ -333,8 +365,11 @@ int main(int argc, char** argv) {
           xray::analyze(arch, core::conv2d_xray_model(arch, c, f, k, n, n,
                                                       opt));
       if (json) {
-        std::printf("{\"static_analysis\": %s}\n",
-                    xray::to_json(rep, 2).c_str());
+        JsonWriter w;
+        w.begin_object().key("static_analysis");
+        xray::to_json(w, rep);
+        w.end_object();
+        std::printf("%s\n", w.str().c_str());
       } else {
         std::printf("%s", xray::format_static(rep).c_str());
       }
@@ -455,46 +490,46 @@ int main(int argc, char** argv) {
         tel.latency_s = stats.latency;
       }
       if (json) {
-        std::printf(
-            "{\"serve\": {\"network\": \"%s\", \"requests\": %llu, "
-            "\"batches\": %llu, \"cold\": %llu, \"warm\": %llu, "
-            "\"analytic\": %llu, \"fused_pairs\": %llu, "
-            "\"fusion_gm_bytes_eliminated\": %.0f, ",
-            net.name.c_str(), static_cast<unsigned long long>(stats.processed),
-            static_cast<unsigned long long>(stats.batches),
-            static_cast<unsigned long long>(stats.cold),
-            static_cast<unsigned long long>(stats.warm),
-            static_cast<unsigned long long>(stats.analytic),
-            static_cast<unsigned long long>(stats.fused_pairs),
-            stats.fusion_gm_bytes_eliminated);
+        JsonWriter w;
+        w.begin_object()
+            .key("serve")
+            .begin_object()
+            .kv("network", net.name)
+            .kv("requests", stats.processed)
+            .kv("batches", stats.batches)
+            .kv("cold", stats.cold)
+            .kv("warm", stats.warm)
+            .kv("analytic", stats.analytic)
+            .kv("fused_pairs", stats.fused_pairs)
+            .kv("fusion_gm_bytes_eliminated",
+                stats.fusion_gm_bytes_eliminated)
+            .key("plan_cache");
         // §5d outcome taxonomy: the named fields sum to the total conv
-        // launch count (asserted in CI's serving smoke).
-        std::printf(
-            "\"plan_cache\": %s, ",
-            obs::taxonomy_to_json(stats.plan_taxonomy,
-                                  plans != nullptr ? plans->stores() : 0,
-                                  plans != nullptr ? plans->evictions() : 0)
-                .c_str());
+        // launch count.
+        obs::taxonomy_to_json(w, stats.plan_taxonomy,
+                              plans != nullptr ? plans->stores() : 0,
+                              plans != nullptr ? plans->evictions() : 0);
         if (devices > 1) {
-          std::printf(
-              "\"fleet\": {\"devices\": %lld, \"shard\": \"%s\", "
-              "\"h2d_bytes\": %llu, \"d2h_bytes\": %llu, "
-              "\"d2d_bytes\": %llu, \"transfer_seconds\": %.6g}, ",
-              static_cast<long long>(devices), sim::shard_name(shard_strategy),
-              static_cast<unsigned long long>(stats.fleet_h2d_bytes),
-              static_cast<unsigned long long>(stats.fleet_d2h_bytes),
-              static_cast<unsigned long long>(stats.fleet_d2d_bytes),
-              stats.fleet_transfer_seconds);
+          w.key("fleet")
+              .begin_object()
+              .kv("devices", devices)
+              .kv("shard", sim::shard_name(shard_strategy))
+              .kv("h2d_bytes", stats.fleet_h2d_bytes)
+              .kv("d2h_bytes", stats.fleet_d2h_bytes)
+              .kv("d2d_bytes", stats.fleet_d2d_bytes)
+              .kv("transfer_seconds", stats.fleet_transfer_seconds)
+              .end_object();
         }
-        std::printf(
-            "\"sim_seconds_total\": %.6g, "
-            "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f",
-            sim_total, pct_ms(0.50), pct_ms(0.95), pct_ms(0.99));
+        w.kv("sim_seconds_total", sim_total)
+            .kv("p50_ms", pct_ms(0.50))
+            .kv("p95_ms", pct_ms(0.95))
+            .kv("p99_ms", pct_ms(0.99));
         if (sink != nullptr) {
-          std::printf(", \"telemetry\": %s",
-                      obs::telemetry_to_json(tel, 2).c_str());
+          w.key("telemetry");
+          obs::telemetry_to_json(w, tel);
         }
-        std::printf("}}\n");
+        w.end_object().end_object();
+        std::printf("%s\n", w.str().c_str());
       } else {
         std::printf("served %llu request(s) against %s in %llu batch(es)\n",
                     static_cast<unsigned long long>(stats.processed),
@@ -577,72 +612,34 @@ int main(int argc, char** argv) {
         const auto r = core::autotune_special(dev, k, f, n, {}, 4, 0,
                                               plans.get(), analytic,
                                               static_prune);
-        if (json) {
-          std::printf("{\"kernel\": \"special\", \"evaluated\": %lld, "
-                      "\"skipped\": %lld, \"pruned\": %lld, "
-                      "\"from_plan_cache\": %s, "
-                      "\"best\": {\"block_w\": %lld, \"block_h\": %lld, "
-                      "\"gflops\": %.6g}}\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? "true" : "false",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      r.best.gflops);
-        } else {
-          std::printf("autotune special: %lld evaluated, %lld skipped, "
-                      "%lld pruned%s\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? " (ranking served from plan cache)"
-                                        : "");
-          std::printf("best: W=%lld H=%lld   %.1f GFlop/s\n",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      r.best.gflops);
-        }
+        const auto& b = r.best.config;
+        print_autotune(
+            json, "special", r,
+            [&](JsonWriter& w) {
+              w.kv("block_w", b.block_w).kv("block_h", b.block_h);
+            },
+            strf("W=%lld H=%lld", static_cast<long long>(b.block_w),
+                 static_cast<long long>(b.block_h)));
       } else {
         const auto r = core::autotune_general(dev, k, c, f, n, {}, 2, 0,
                                               plans.get(), analytic,
                                               static_prune);
-        if (json) {
-          std::printf("{\"kernel\": \"general\", \"evaluated\": %lld, "
-                      "\"skipped\": %lld, \"pruned\": %lld, "
-                      "\"from_plan_cache\": %s, "
-                      "\"best\": {\"block_w\": %lld, \"block_h\": %lld, "
-                      "\"ftb\": %lld, \"wt\": %lld, \"ft\": %lld, "
-                      "\"csh\": %lld, \"gflops\": %.6g}}\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? "true" : "false",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      static_cast<long long>(r.best.config.ftb),
-                      static_cast<long long>(r.best.config.wt),
-                      static_cast<long long>(r.best.config.ft),
-                      static_cast<long long>(r.best.config.csh),
-                      r.best.gflops);
-        } else {
-          std::printf("autotune general: %lld evaluated, %lld skipped, "
-                      "%lld pruned%s\n",
-                      static_cast<long long>(r.evaluated),
-                      static_cast<long long>(r.skipped),
-                      static_cast<long long>(r.pruned),
-                      r.from_plan_cache ? " (ranking served from plan cache)"
-                                        : "");
-          std::printf("best: W=%lld H=%lld FTB=%lld WT=%lld FT=%lld "
-                      "CSH=%lld   %.1f GFlop/s\n",
-                      static_cast<long long>(r.best.config.block_w),
-                      static_cast<long long>(r.best.config.block_h),
-                      static_cast<long long>(r.best.config.ftb),
-                      static_cast<long long>(r.best.config.wt),
-                      static_cast<long long>(r.best.config.ft),
-                      static_cast<long long>(r.best.config.csh),
-                      r.best.gflops);
-        }
+        const auto& b = r.best.config;
+        print_autotune(
+            json, "general", r,
+            [&](JsonWriter& w) {
+              w.kv("block_w", b.block_w)
+                  .kv("block_h", b.block_h)
+                  .kv("ftb", b.ftb)
+                  .kv("wt", b.wt)
+                  .kv("ft", b.ft)
+                  .kv("csh", b.csh);
+            },
+            strf("W=%lld H=%lld FTB=%lld WT=%lld FT=%lld CSH=%lld",
+                 static_cast<long long>(b.block_w),
+                 static_cast<long long>(b.block_h),
+                 static_cast<long long>(b.ftb), static_cast<long long>(b.wt),
+                 static_cast<long long>(b.ft), static_cast<long long>(b.csh)));
       }
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
@@ -673,24 +670,22 @@ int main(int argc, char** argv) {
     }
 
     if (json) {
-      std::string out = sim::to_json(dev.arch(), res.launch);
+      JsonWriter w;
+      w.begin_object();
+      sim::launch_json_members(w, dev.arch(), res.launch);
       if (xray) {
-        out.erase(out.rfind('}'));
-        while (!out.empty() && (out.back() == '\n' || out.back() == ' '))
-          out.pop_back();
-        out += ",\n  \"static_analysis\": " + xray::to_json(xrep, 2);
-        out += ",\n  \"static_cross_check\": {\"ok\": ";
-        out += xcheck.ok ? "true" : "false";
-        out += ", \"mismatches\": [";
-        for (std::size_t m = 0; m < xcheck.mismatches.size(); ++m) {
-          if (m > 0) out += ", ";
-          out += "\"";
-          out += xcheck.mismatches[m];
-          out += "\"";
-        }
-        out += "]}\n}";
+        w.key("static_analysis");
+        xray::to_json(w, xrep);
+        w.key("static_cross_check")
+            .begin_object()
+            .kv("ok", xcheck.ok)
+            .key("mismatches")
+            .begin_array();
+        for (const std::string& m : xcheck.mismatches) w.value(m);
+        w.end_array().end_object();
       }
-      std::printf("%s\n", out.c_str());
+      w.end_object();
+      std::printf("%s\n", w.str().c_str());
     } else {
       std::printf("algorithm: %s   effective: %.1f GFlop/s\n",
                   core::algo_name(res.algo_used), res.effective_gflops);

@@ -1,12 +1,13 @@
 // Typed findings produced by the kconv-check analysis subsystem.
 //
-// Two families of diagnostics (ISSUE 4 / docs/MODEL.md §6):
+// Two families of diagnostics (docs/MODEL.md §6):
 //   * HazardRecord — hard errors from the shadow-state race detector:
 //     same-epoch shared-memory conflicts between warps (or unordered
 //     intra-warp lane pairs), and cross-block global-memory write overlaps.
-//   * LintFinding — paper-grounded efficiency diagnostics over a launch's
+//   * Finding — paper-grounded efficiency diagnostics over a launch's
 //     aggregate statistics (Chen et al. DAC'17 §2.1), each carrying the
-//     measured metric, its trip threshold, and the paper's remediation.
+//     measured metric, its trip threshold, the paper's remediation and its
+//     citation. kconv-xray's static findings use the same type.
 //
 // This header is intentionally light: only sim geometry/event value types,
 // so everything above the simulator (CLI, tests, tools) can consume
@@ -71,9 +72,11 @@ struct HazardRecord {
 enum class Severity : u8 { Info, Warning, Error };
 const char* severity_name(Severity s);
 
-/// Efficiency lint classes, one per memory-inefficiency pattern the paper
-/// names. See docs/MODEL.md §6 for the catalog with citations.
-enum class LintKind : u8 {
+/// Finding classes, one per memory-inefficiency pattern or static verdict
+/// the paper grounds. The first five are the kconv-check efficiency lints
+/// (docs/MODEL.md §6); kconv-xray reports them per access site and adds the
+/// last three (docs/MODEL.md §10).
+enum class FindingKind : u8 {
   /// Average lane access width below the SM bank width (W_CD < W_SMB):
   /// scalar float traffic on 8-byte-bank hardware wastes half of every
   /// bank's bandwidth (§2.1, Fig. 1; fix per Eq. 1: float2 accesses).
@@ -91,17 +94,29 @@ enum class LintKind : u8 {
   /// Constant-memory requests per instruction above threshold: lanes
   /// diverge on CM addresses instead of broadcasting (§2.3/§3.3).
   LowCmBroadcast,
+  /// Predicted GM traffic against the §3/§4 communication lower bound
+  /// (advisory).
+  GmTrafficVsBound,
+  /// Two smem sites touch one byte from different warps within a barrier
+  /// interval in every block.
+  SmemDefiniteRace,
+  /// As above, but only under some block's predicates.
+  SmemPossibleRace,
 };
 
-const char* lint_kind_name(LintKind k);  // kebab-case, stable
+const char* finding_kind_name(FindingKind k);  // kebab-case, stable
 
-struct LintFinding {
-  LintKind kind = LintKind::BankWidthMismatch;
+/// One paper-grounded diagnostic: the kconv-check lints over a launch's
+/// aggregate statistics and the kconv-xray static findings alike.
+struct Finding {
+  FindingKind kind = FindingKind::BankWidthMismatch;
+  std::string site;        // access site name; "" for launch-level findings
   Severity severity = Severity::Warning;
   double value = 0.0;      // measured metric
   double threshold = 0.0;  // trip point it crossed
   std::string message;     // what was measured, with numbers
   std::string remediation; // what the paper says to do about it
+  std::string citation;    // paper section grounding the finding
 };
 
 /// Everything kconv-check produced for one launch.
@@ -118,13 +133,13 @@ struct AnalysisReport {
   /// even when the recorded list below is capped.
   u64 gm_overlaps_total = 0;
   std::vector<HazardRecord> hazards;
-  std::vector<LintFinding> lints;
+  std::vector<Finding> lints;
 
   /// A launch passes kconv-check when it has no hazards and no lint at
   /// Warning or above (Info findings are advisory).
   bool clean() const {
     if (races_total != 0 || gm_overlaps_total != 0) return false;
-    for (const LintFinding& f : lints) {
+    for (const Finding& f : lints) {
       if (f.severity != Severity::Info) return false;
     }
     return true;

@@ -4,28 +4,13 @@
 
 namespace kconv::analysis {
 
-namespace {
-
-LintFinding make(LintKind kind, Severity sev, double value, double threshold,
-                 std::string message, std::string remediation) {
-  LintFinding f;
-  f.kind = kind;
-  f.severity = sev;
-  f.value = value;
-  f.threshold = threshold;
-  f.message = std::move(message);
-  f.remediation = std::move(remediation);
-  return f;
-}
-
-}  // namespace
-
-std::vector<LintFinding> lint_stats(const sim::Arch& arch,
-                                    const sim::LaunchConfig& cfg,
-                                    const sim::KernelStats& stats,
-                                    const sim::TimingEstimate& timing,
-                                    const LintThresholds& th) {
-  std::vector<LintFinding> out;
+std::vector<Finding> lint_stats(const sim::Arch& arch,
+                                const sim::LaunchConfig& cfg,
+                                const sim::KernelStats& stats,
+                                const sim::TimingEstimate& timing,
+                                const LintThresholds& th) {
+  // Lints judge the whole launch, so every finding's site is "".
+  std::vector<Finding> out;
 
   // --- bank-width-mismatch (§2.1, Fig. 1; fix per Eq. 1) -------------------
   // Average bytes each lane slot moves per SM instruction: scalar float
@@ -39,8 +24,8 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
         (static_cast<double>(stats.smem_instrs) * arch.warp_size);
     const double floor = th.bank_width_fraction * arch.smem_bank_bytes;
     if (avg_lane_bytes < floor) {
-      out.push_back(make(
-          LintKind::BankWidthMismatch, Severity::Warning, avg_lane_bytes,
+      out.push_back(Finding{
+          FindingKind::BankWidthMismatch, "", Severity::Warning, avg_lane_bytes,
           floor,
           strf("average lane access width %.2f B is below the %u B shared-"
                "memory bank width (W_CD < W_SMB)",
@@ -48,7 +33,8 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
           strf("widen the computation data width to the bank width (Eq. 1: "
                "%u-byte units, e.g. float%u accesses) so each bank cycle "
                "moves a full word — the paper's §2.1/Fig. 1 mechanism",
-               arch.smem_bank_bytes, arch.smem_bank_bytes / 4)));
+               arch.smem_bank_bytes, arch.smem_bank_bytes / 4),
+          "§2.1, Fig. 1"});
     }
   }
 
@@ -70,8 +56,8 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
     if (st_trips || ld_trips) {
       const double worst = st_trips && st_factor >= ld_factor ? st_factor
                                                               : ld_factor;
-      out.push_back(make(
-          LintKind::BankConflictReplays, Severity::Warning, worst,
+      out.push_back(Finding{
+          FindingKind::BankConflictReplays, "", Severity::Warning, worst,
           th.conflict_replay_factor,
           strf("shared-memory %s replay %.2f request cycles per instruction "
                "(loads %.2f, stores %.2f; 1.0 = conflict-free)",
@@ -79,7 +65,8 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
                ld_factor, st_factor),
           "restructure the layout so a warp's lanes hit distinct banks — "
           "e.g. pad transposed rows by one bank word as in the paper's §4.2 "
-          "filter staging, or swizzle the leading dimension"));
+          "filter staging, or swizzle the leading dimension",
+          "§2.1/§4.2"});
     }
   }
 
@@ -87,15 +74,16 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
   if (stats.gm_instrs >= th.min_gm_instrs) {
     const double overfetch = stats.gm_overfetch(arch.gm_sector_bytes);
     if (overfetch > th.gm_overfetch) {
-      out.push_back(make(
-          LintKind::UncoalescedGmem, Severity::Warning, overfetch,
+      out.push_back(Finding{
+          FindingKind::UncoalescedGmem, "", Severity::Warning, overfetch,
           th.gm_overfetch,
           strf("global memory moved %.2fx the bytes the lanes asked for "
                "(%u B sector granularity)",
                overfetch, arch.gm_sector_bytes),
           "make warps access contiguous addresses so requests coalesce "
           "into full sectors (§2.2) — reorder the thread-to-data mapping "
-          "or stage through shared memory"));
+          "or stage through shared memory",
+          "§2.2"});
     }
   }
 
@@ -104,15 +92,16 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
   // it becomes a problem only when latency can no longer be hidden.
   if (timing.occupancy.limiter == sim::OccupancyLimiter::SharedMem &&
       timing.occupancy.fraction < th.occupancy_fraction) {
-    out.push_back(make(
-        LintKind::SmemOccupancyCap, Severity::Info,
+    out.push_back(Finding{
+        FindingKind::SmemOccupancyCap, "", Severity::Info,
         timing.occupancy.fraction, th.occupancy_fraction,
         strf("shared memory (%u B/block) limits occupancy to %.0f%% of the "
              "SM's warp capacity",
              cfg.shared_bytes, 100.0 * timing.occupancy.fraction),
         "shrink the per-block tile or stage fewer channels at a time "
         "(smaller CSH) so more blocks fit per SM (§4.3's occupancy/reuse "
-        "trade-off)"));
+        "trade-off)",
+        "§4.3"});
   }
 
   // --- low-cm-broadcast (§2.3/§3.3) ----------------------------------------
@@ -120,15 +109,16 @@ std::vector<LintFinding> lint_stats(const sim::Arch& arch,
     const double rpi = static_cast<double>(stats.const_requests) /
                        static_cast<double>(stats.const_instrs);
     if (rpi > th.const_requests_per_instr) {
-      out.push_back(make(
-          LintKind::LowCmBroadcast, Severity::Warning, rpi,
+      out.push_back(Finding{
+          FindingKind::LowCmBroadcast, "", Severity::Warning, rpi,
           th.const_requests_per_instr,
           strf("constant loads serialize into %.2f requests per instruction "
                "(1.0 = full-warp broadcast)",
                rpi),
           "make every lane of a warp read the same constant address per "
           "instruction (loop filters in the same order across lanes, §3.3) "
-          "— or move diverging tables to shared memory"));
+          "— or move diverging tables to shared memory",
+          "§2.3/§3.3"});
     }
   }
 

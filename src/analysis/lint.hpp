@@ -50,10 +50,10 @@ struct LintThresholds {
 
 /// Runs every lint over `stats`/`timing` (a Timing-trace launch). Findings
 /// come back in catalog order; empty means clean.
-std::vector<LintFinding> lint_stats(const sim::Arch& arch,
-                                    const sim::LaunchConfig& cfg,
-                                    const sim::KernelStats& stats,
-                                    const sim::TimingEstimate& timing,
-                                    const LintThresholds& th = {});
+std::vector<Finding> lint_stats(const sim::Arch& arch,
+                                const sim::LaunchConfig& cfg,
+                                const sim::KernelStats& stats,
+                                const sim::TimingEstimate& timing,
+                                const LintThresholds& th = {});
 
 }  // namespace kconv::analysis

@@ -24,15 +24,48 @@ const char* severity_name(Severity s) {
   return "?";
 }
 
-const char* lint_kind_name(LintKind k) {
+const char* finding_kind_name(FindingKind k) {
   switch (k) {
-    case LintKind::BankWidthMismatch: return "bank-width-mismatch";
-    case LintKind::BankConflictReplays: return "bank-conflict-replays";
-    case LintKind::UncoalescedGmem: return "uncoalesced-gmem";
-    case LintKind::SmemOccupancyCap: return "smem-occupancy-cap";
-    case LintKind::LowCmBroadcast: return "low-cm-broadcast";
+    case FindingKind::BankWidthMismatch: return "bank-width-mismatch";
+    case FindingKind::BankConflictReplays: return "bank-conflict-replays";
+    case FindingKind::UncoalescedGmem: return "uncoalesced-gmem";
+    case FindingKind::SmemOccupancyCap: return "smem-occupancy-cap";
+    case FindingKind::LowCmBroadcast: return "low-cm-broadcast";
+    case FindingKind::GmTrafficVsBound: return "gm-traffic-vs-bound";
+    case FindingKind::SmemDefiniteRace: return "smem-definite-race";
+    case FindingKind::SmemPossibleRace: return "smem-possible-race";
   }
   return "?";
+}
+
+std::string format_finding(const Finding& f) {
+  return strf("  [%s] %s%s%s: %s (measured %.3g, threshold %.3g%s%s)\n"
+              "      fix: %s\n",
+              severity_name(f.severity), finding_kind_name(f.kind),
+              f.site.empty() ? "" : " at ", f.site.c_str(), f.message.c_str(),
+              f.value, f.threshold, f.citation.empty() ? "" : ", ",
+              f.citation.c_str(), f.remediation.c_str());
+}
+
+void finding_to_json(JsonWriter& w, const Finding& f) {
+  w.begin_object()
+      .kv("site", f.site)
+      .kv("kind", finding_kind_name(f.kind))
+      .kv("severity", severity_name(f.severity))
+      .kv("value", f.value)
+      .kv("threshold", f.threshold)
+      .kv("message", f.message)
+      .kv("remediation", f.remediation)
+      .kv("citation", f.citation)
+      .end_object();
+}
+
+void dim3_to_json(JsonWriter& w, const sim::Dim3& d) {
+  w.begin_array(JsonWriter::Layout::Line)
+      .value(d.x)
+      .value(d.y)
+      .value(d.z)
+      .end_array();
 }
 
 namespace {
@@ -58,58 +91,32 @@ std::string format_hazard(const HazardRecord& r) {
               static_cast<unsigned long long>(r.second.op_index));
 }
 
-/// The only non-literal JSON strings are our own messages (plain ASCII),
-/// but escape the JSON-significant characters anyway.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
+void hazard_op_to_json(JsonWriter& w, const HazardOp& h) {
+  w.begin_object()
+      .kv("op", sim::op_name(h.op))
+      .kv("warp", h.warp)
+      .kv("lane", h.lane)
+      .kv("round", h.round)
+      .kv("op_index", h.op_index)
+      .end_object();
 }
 
-std::string json_hazard(const HazardRecord& r, const std::string& pad) {
-  std::string o = pad + "{";
-  o += strf("\"kind\": \"%s\", \"block\": [%u,%u,%u], ",
-            hazard_kind_name(r.kind), r.block.x, r.block.y, r.block.z);
-  if (r.kind == HazardKind::GmemBlockOverlap) {
-    o += strf("\"other_block\": [%u,%u,%u], ", r.other_block.x,
-              r.other_block.y, r.other_block.z);
+void hazard_to_json(JsonWriter& w, const HazardRecord& r) {
+  const bool gm = r.kind == HazardKind::GmemBlockOverlap;
+  w.begin_object().kv("kind", hazard_kind_name(r.kind)).key("block");
+  dim3_to_json(w, r.block);
+  if (gm) {
+    w.key("other_block");
+    dim3_to_json(w, r.other_block);
   }
-  o += strf("\"addr\": %llu, \"bytes\": %llu",
-            static_cast<unsigned long long>(r.addr),
-            static_cast<unsigned long long>(r.bytes));
-  if (r.kind != HazardKind::GmemBlockOverlap) {
-    o += strf(", \"epoch\": %llu", static_cast<unsigned long long>(r.epoch));
-    const auto op_json = [](const HazardOp& h) {
-      return strf("{\"op\": \"%s\", \"warp\": %u, \"lane\": %u, "
-                  "\"round\": %u, \"op_index\": %llu}",
-                  sim::op_name(h.op), h.warp, h.lane, h.round,
-                  static_cast<unsigned long long>(h.op_index));
-    };
-    o += ", \"first\": " + op_json(r.first);
-    o += ", \"second\": " + op_json(r.second);
+  w.kv("addr", r.addr).kv("bytes", r.bytes);
+  if (!gm) {
+    w.kv("epoch", r.epoch).key("first");
+    hazard_op_to_json(w, r.first);
+    w.key("second");
+    hazard_op_to_json(w, r.second);
   }
-  o += "}";
-  return o;
-}
-
-std::string json_lint(const LintFinding& f, const std::string& pad) {
-  return pad +
-         strf("{\"kind\": \"%s\", \"severity\": \"%s\", \"value\": %.6g, "
-              "\"threshold\": %.6g, \"message\": \"%s\", "
-              "\"remediation\": \"%s\"}",
-              lint_kind_name(f.kind), severity_name(f.severity), f.value,
-              f.threshold, json_escape(f.message).c_str(),
-              json_escape(f.remediation).c_str());
+  w.end_object();
 }
 
 }  // namespace
@@ -141,47 +148,27 @@ std::string format_analysis(const AnalysisReport& rep) {
     } else {
       out += strf("lints: %zu finding%s\n", rep.lints.size(),
                   rep.lints.size() == 1 ? "" : "s");
-      for (const LintFinding& f : rep.lints) {
-        out += strf("  [%s] %s: %s (measured %.3g, threshold %.3g)\n",
-                    severity_name(f.severity), lint_kind_name(f.kind),
-                    f.message.c_str(), f.value, f.threshold);
-        out += strf("      fix: %s\n", f.remediation.c_str());
-      }
+      for (const Finding& f : rep.lints) out += format_finding(f);
     }
   }
   out += strf("verdict: %s\n", rep.clean() ? "PASS" : "FAIL");
   return out;
 }
 
-std::string to_json(const AnalysisReport& rep, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string in1 = pad + "  ";
-  const std::string in2 = pad + "    ";
-  std::string out = "{\n";
-  out += in1 + strf("\"hazard_checked\": %s,\n",
-                    rep.hazard_checked ? "true" : "false");
-  out += in1 + strf("\"linted\": %s,\n", rep.linted ? "true" : "false");
-  out += in1 + strf("\"clean\": %s,\n", rep.clean() ? "true" : "false");
-  out += in1 + strf("\"blocks_checked\": %llu,\n",
-                    static_cast<unsigned long long>(rep.blocks_checked));
-  out += in1 + strf("\"races_total\": %llu,\n",
-                    static_cast<unsigned long long>(rep.races_total));
-  out += in1 + strf("\"gm_overlaps_total\": %llu,\n",
-                    static_cast<unsigned long long>(rep.gm_overlaps_total));
-  out += in1 + "\"hazards\": [";
-  for (std::size_t i = 0; i < rep.hazards.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += json_hazard(rep.hazards[i], in2);
-  }
-  out += rep.hazards.empty() ? "],\n" : "\n" + in1 + "],\n";
-  out += in1 + "\"lints\": [";
-  for (std::size_t i = 0; i < rep.lints.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += json_lint(rep.lints[i], in2);
-  }
-  out += rep.lints.empty() ? "]\n" : "\n" + in1 + "]\n";
-  out += pad + "}";
-  return out;
+void to_json(JsonWriter& w, const AnalysisReport& rep) {
+  w.begin_object()
+      .kv("hazard_checked", rep.hazard_checked)
+      .kv("linted", rep.linted)
+      .kv("clean", rep.clean())
+      .kv("blocks_checked", rep.blocks_checked)
+      .kv("races_total", rep.races_total)
+      .kv("gm_overlaps_total", rep.gm_overlaps_total)
+      .key("hazards")
+      .begin_array();
+  for (const HazardRecord& r : rep.hazards) hazard_to_json(w, r);
+  w.end_array().key("lints").begin_array();
+  for (const Finding& f : rep.lints) finding_to_json(w, f);
+  w.end_array().end_object();
 }
 
 }  // namespace kconv::analysis

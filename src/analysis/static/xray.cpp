@@ -4,6 +4,7 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "src/analysis/report.hpp"
 #include "src/common/error.hpp"
 #include "src/common/strutil.hpp"
 #include "src/sim/banks.hpp"
@@ -25,7 +26,7 @@ bool StaticReport::clean() const {
   for (const RacePair& r : races) {
     if (r.verdict == RaceVerdict::DefiniteRace) return false;
   }
-  for (const Finding& f : findings) {
+  for (const analysis::Finding& f : findings) {
     if (f.severity != analysis::Severity::Info) return false;
   }
   return true;
@@ -408,21 +409,8 @@ constexpr double kOverfetchTrip = 4.0;
 constexpr double kOverfetchVolumeGate = 0.10;
 constexpr double kConstRequestsTrip = 2.0;
 
-void add_finding(StaticReport& rep, std::string site, std::string kind,
-                 analysis::Severity sev, double value, double threshold,
-                 std::string message, std::string remediation,
-                 std::string citation) {
-  Finding f;
-  f.site = std::move(site);
-  f.kind = std::move(kind);
-  f.severity = sev;
-  f.value = value;
-  f.threshold = threshold;
-  f.message = std::move(message);
-  f.remediation = std::move(remediation);
-  f.citation = std::move(citation);
-  rep.findings.push_back(std::move(f));
-}
+using analysis::FindingKind;
+using analysis::Severity;
 
 void derive_findings(const sim::Arch& arch, StaticReport& rep) {
   for (std::size_t i = 0; i < rep.sites.size(); ++i) {
@@ -435,8 +423,8 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
       if (replay > kReplayTrip) {
         const double r4 = static_cast<double>(s.request_cycles_4b) / instrs;
         const double r8 = static_cast<double>(s.request_cycles_8b) / instrs;
-        add_finding(
-            rep, d.name, "bank-conflict-replays", analysis::Severity::Warning,
+        rep.findings.push_back({
+            FindingKind::BankConflictReplays, d.name, Severity::Warning,
             replay, kReplayTrip,
             strf("%s replays %.2f request cycles per instruction (worst "
                  "single instruction %u; 4-byte banks %.2f, 8-byte banks "
@@ -445,7 +433,7 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
             "restructure the layout so a warp's lanes hit distinct banks — "
             "pad the transposed leading dimension by one bank word as in "
             "the paper's §4.2 filter staging",
-            d.citation.empty() ? "§2.1" : d.citation);
+            d.citation.empty() ? "§2.1" : d.citation});
       }
       const double avg_lane =
           s.live_lanes == 0 ? 0.0
@@ -458,8 +446,8 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
               kWidthVolumeGate *
                   static_cast<double>(rep.predicted.smem_lane_bytes);
       if (avg_lane < floor && dominant) {
-        add_finding(
-            rep, d.name, "bank-width-mismatch", analysis::Severity::Warning,
+        rep.findings.push_back({
+            FindingKind::BankWidthMismatch, d.name, Severity::Warning,
             avg_lane, floor,
             strf("average lane access width %.2f B is below the %u B bank "
                  "width (W_CD < W_SMB) on a dominant site",
@@ -468,7 +456,7 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
                  "(Eq. 1: %u-byte units, e.g. float%u accesses) so each "
                  "bank cycle moves a full word",
                  arch.smem_bank_bytes, arch.smem_bank_bytes / 4),
-            d.citation.empty() ? "§2.1" : d.citation);
+            d.citation.empty() ? "§2.1" : d.citation});
       }
     } else if (is_gmem(d.op)) {
       const double moved =
@@ -478,28 +466,28 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
           rep.gm_bytes_moved > 0 &&
           moved >= kOverfetchVolumeGate * rep.gm_bytes_moved;
       if (overfetch > kOverfetchTrip && dominant) {
-        add_finding(
-            rep, d.name, "uncoalesced-gmem", analysis::Severity::Warning,
+        rep.findings.push_back({
+            FindingKind::UncoalescedGmem, d.name, Severity::Warning,
             overfetch, kOverfetchTrip,
             strf("%s moves %.2fx the bytes its lanes ask for (%u B sector "
                  "granularity)",
                  sim::op_name(d.op), overfetch, arch.gm_sector_bytes),
             "make contiguous lanes access contiguous addresses so requests "
             "coalesce into full sectors, or stage through shared memory",
-            d.citation.empty() ? "§2.2" : d.citation);
+            d.citation.empty() ? "§2.2" : d.citation});
       }
     } else if (d.op == sim::Op::LoadConst) {
       const double rpi = static_cast<double>(s.const_requests) / instrs;
       if (rpi > kConstRequestsTrip) {
-        add_finding(
-            rep, d.name, "low-cm-broadcast", analysis::Severity::Warning,
+        rep.findings.push_back({
+            FindingKind::LowCmBroadcast, d.name, Severity::Warning,
             rpi, kConstRequestsTrip,
             strf("constant loads serialize into %.2f requests per "
                  "instruction (1.0 = full-warp broadcast)",
                  rpi),
             "make every lane of a warp read the same constant address per "
             "instruction (loop filters in the same order across lanes)",
-            d.citation.empty() ? "§2.3/§3.3" : d.citation);
+            d.citation.empty() ? "§2.3/§3.3" : d.citation});
       }
     }
   }
@@ -507,10 +495,11 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
   for (const RacePair& p : rep.races) {
     if (p.verdict == RaceVerdict::ProvenDisjoint) continue;
     const bool definite = p.verdict == RaceVerdict::DefiniteRace;
-    add_finding(
-        rep, rep.sites[p.site_a].name + "+" + rep.sites[p.site_b].name,
-        definite ? "smem-definite-race" : "smem-possible-race",
-        definite ? analysis::Severity::Error : analysis::Severity::Warning,
+    rep.findings.push_back({
+        definite ? FindingKind::SmemDefiniteRace
+                 : FindingKind::SmemPossibleRace,
+        rep.sites[p.site_a].name + "+" + rep.sites[p.site_b].name,
+        definite ? Severity::Error : Severity::Warning,
         static_cast<double>(p.witness_addr), 0.0,
         strf("sites '%s' and '%s' touch smem byte 0x%llx from different "
              "warps within one barrier interval%s",
@@ -520,19 +509,19 @@ void derive_findings(const sim::Arch& arch, StaticReport& rep) {
              definite ? "" : " under some block's predicates"),
         "order the conflicting accesses with a barrier (__syncthreads "
         "between the staging store and the consuming load)",
-        "§3 Alg. 1 / §4 Alg. 2");
+        "§3 Alg. 1 / §4 Alg. 2"});
   }
 
   if (rep.min_gm_bytes > 0) {
     const double ratio = rep.gm_bytes_moved / rep.min_gm_bytes;
-    add_finding(
-        rep, "", "gm-traffic-vs-bound", analysis::Severity::Info, ratio, 1.0,
+    rep.findings.push_back({
+        FindingKind::GmTrafficVsBound, "", Severity::Info, ratio, 1.0,
         strf("predicted GM traffic is %.2fx the communication lower bound "
              "(%.3g MB moved vs %.3g MB minimum)",
              ratio, rep.gm_bytes_moved / 1e6, rep.min_gm_bytes / 1e6),
         "halo re-reads and per-tile filter reloads account for the excess; "
         "larger tiles trade occupancy for traffic",
-        "§3.1/§4.1");
+        "§3.1/§4.1"});
   }
 }
 
@@ -688,26 +677,6 @@ CrossCheck cross_validate(const StaticReport& rep,
   return cc;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string format_static(const StaticReport& rep) {
   std::string out = "=== kconv-xray ===\n";
   out += strf("kernel: %s  grid %ux%ux%u  block %ux%ux%u  smem %u B\n",
@@ -782,135 +751,90 @@ std::string format_static(const StaticReport& rep) {
   }
   if (!rep.findings.empty()) {
     out += strf("findings: %zu\n", rep.findings.size());
-    for (const Finding& f : rep.findings) {
-      out += strf("  [%s] %s%s%s: %s (measured %.3g, threshold %.3g, %s)\n",
-                  analysis::severity_name(f.severity), f.kind.c_str(),
-                  f.site.empty() ? "" : " at ",
-                  f.site.c_str(), f.message.c_str(), f.value, f.threshold,
-                  f.citation.c_str());
-      out += strf("      fix: %s\n", f.remediation.c_str());
+    for (const analysis::Finding& f : rep.findings) {
+      out += analysis::format_finding(f);
     }
   }
   out += strf("verdict: %s\n", rep.clean() ? "PASS" : "FAIL");
   return out;
 }
 
-std::string to_json(const StaticReport& rep, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string in1 = pad + "  ";
-  const std::string in2 = pad + "    ";
-  std::string out = "{\n";
-  out += in1 + strf("\"kernel\": \"%s\",\n", json_escape(rep.kernel).c_str());
-  out += in1 + strf("\"grid\": [%u,%u,%u],\n", rep.cfg.grid.x, rep.cfg.grid.y,
-                    rep.cfg.grid.z);
-  out += in1 + strf("\"block\": [%u,%u,%u],\n", rep.cfg.block.x,
-                    rep.cfg.block.y, rep.cfg.block.z);
-  out += in1 + strf("\"shared_bytes\": %u,\n", rep.cfg.shared_bytes);
-  out += in1 + strf("\"blocks_total\": %llu,\n",
-                    static_cast<unsigned long long>(rep.blocks_total));
-  out += in1 + strf("\"blocks_analyzed\": %llu,\n",
-                    static_cast<unsigned long long>(rep.blocks_analyzed));
-  out += in1 + strf("\"sampled\": %s,\n", rep.sampled ? "true" : "false");
-  // Hex string: a raw 64-bit JSON number would lose precision past 2^53.
-  out += in1 + strf("\"signature\": \"0x%016llx\",\n",
-                    static_cast<unsigned long long>(rep.signature));
-  out += in1 + strf("\"clean\": %s,\n", rep.clean() ? "true" : "false");
+void to_json(JsonWriter& w, const StaticReport& rep) {
+  w.begin_object().kv("kernel", rep.kernel).key("grid");
+  analysis::dim3_to_json(w, rep.cfg.grid);
+  w.key("block");
+  analysis::dim3_to_json(w, rep.cfg.block);
+  w.kv("shared_bytes", rep.cfg.shared_bytes)
+      .kv("blocks_total", rep.blocks_total)
+      .kv("blocks_analyzed", rep.blocks_analyzed)
+      .kv("sampled", rep.sampled)
+      // Hex string: a raw 64-bit JSON number would lose precision past 2^53.
+      .kv("signature",
+          strf("0x%016llx", static_cast<unsigned long long>(rep.signature)))
+      .kv("clean", rep.clean());
   const sim::KernelStats& s = rep.predicted;
-  out += in1 + "\"predicted\": {\n";
-  out += in2 + strf("\"smem_instrs\": %llu, \"smem_request_cycles\": %llu, "
-                    "\"smem_bytes\": %llu, \"smem_lane_bytes\": %llu,\n",
-                    static_cast<unsigned long long>(s.smem_instrs),
-                    static_cast<unsigned long long>(s.smem_request_cycles),
-                    static_cast<unsigned long long>(s.smem_bytes),
-                    static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += in2 + strf("\"smem_store_instrs\": %llu, "
-                    "\"smem_store_request_cycles\": %llu,\n",
-                    static_cast<unsigned long long>(s.smem_store_instrs),
-                    static_cast<unsigned long long>(
-                        s.smem_store_request_cycles));
-  out += in2 + strf("\"gm_instrs\": %llu, \"gm_sectors\": %llu, "
-                    "\"gm_bytes_useful\": %llu,\n",
-                    static_cast<unsigned long long>(s.gm_instrs),
-                    static_cast<unsigned long long>(s.gm_sectors),
-                    static_cast<unsigned long long>(s.gm_bytes_useful));
-  out += in2 + strf("\"const_instrs\": %llu, \"const_requests\": %llu,\n",
-                    static_cast<unsigned long long>(s.const_instrs),
-                    static_cast<unsigned long long>(s.const_requests));
-  out += in2 + strf("\"barriers\": %llu, \"gm_phases\": %llu, "
-                    "\"gm_dep_phases\": %llu,\n",
-                    static_cast<unsigned long long>(s.barriers),
-                    static_cast<unsigned long long>(s.gm_phases),
-                    static_cast<unsigned long long>(s.gm_dep_phases));
-  out += in2 + strf("\"fma_lane_ops\": %llu, \"fma_warp_instrs\": %llu, "
-                    "\"alu_lane_ops\": %llu, \"alu_warp_instrs\": %llu,\n",
-                    static_cast<unsigned long long>(s.fma_lane_ops),
-                    static_cast<unsigned long long>(s.fma_warp_instrs),
-                    static_cast<unsigned long long>(s.alu_lane_ops),
-                    static_cast<unsigned long long>(s.alu_warp_instrs));
-  out += in2 + strf("\"max_warp_instrs\": %llu, \"blocks_executed\": %llu\n",
-                    static_cast<unsigned long long>(s.max_warp_instrs),
-                    static_cast<unsigned long long>(s.blocks_executed));
-  out += in1 + "},\n";
-  out += in1 + strf("\"gm_bytes_moved\": %.6g,\n", rep.gm_bytes_moved);
-  out += in1 + strf("\"min_gm_bytes\": %.6g,\n", rep.min_gm_bytes);
-  out += in1 + "\"sites\": [";
+  w.key("predicted")
+      .begin_object()
+      .kv("smem_instrs", s.smem_instrs)
+      .kv("smem_request_cycles", s.smem_request_cycles)
+      .kv("smem_bytes", s.smem_bytes)
+      .kv("smem_lane_bytes", s.smem_lane_bytes)
+      .kv("smem_store_instrs", s.smem_store_instrs)
+      .kv("smem_store_request_cycles", s.smem_store_request_cycles)
+      .kv("gm_instrs", s.gm_instrs)
+      .kv("gm_sectors", s.gm_sectors)
+      .kv("gm_bytes_useful", s.gm_bytes_useful)
+      .kv("const_instrs", s.const_instrs)
+      .kv("const_requests", s.const_requests)
+      .kv("barriers", s.barriers)
+      .kv("gm_phases", s.gm_phases)
+      .kv("gm_dep_phases", s.gm_dep_phases)
+      .kv("fma_lane_ops", s.fma_lane_ops)
+      .kv("fma_warp_instrs", s.fma_warp_instrs)
+      .kv("alu_lane_ops", s.alu_lane_ops)
+      .kv("alu_warp_instrs", s.alu_warp_instrs)
+      .kv("max_warp_instrs", s.max_warp_instrs)
+      .kv("blocks_executed", s.blocks_executed)
+      .end_object()
+      .kv("gm_bytes_moved", rep.gm_bytes_moved)
+      .kv("min_gm_bytes", rep.min_gm_bytes)
+      .key("sites")
+      .begin_array();
   for (std::size_t i = 0; i < rep.sites.size(); ++i) {
     const SiteDecl& d = rep.sites[i];
     const SiteStats& st = rep.site_stats[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += in2 +
-           strf("{\"name\": \"%s\", \"op\": \"%s\", \"citation\": \"%s\", "
-                "\"data_dependent\": %s, \"instrs\": %llu, "
-                "\"live_lanes\": %llu, "
-                "\"lane_bytes\": %llu, \"unique_bytes\": %llu, "
-                "\"request_cycles\": %llu, \"request_cycles_4b\": %llu, "
-                "\"request_cycles_8b\": %llu, \"max_conflict_degree\": %u, "
-                "\"sectors\": %llu, \"const_requests\": %llu}",
-                json_escape(d.name).c_str(), sim::op_name(d.op),
-                json_escape(d.citation).c_str(),
-                d.data_dependent ? "true" : "false",
-                static_cast<unsigned long long>(st.instrs),
-                static_cast<unsigned long long>(st.live_lanes),
-                static_cast<unsigned long long>(st.lane_bytes),
-                static_cast<unsigned long long>(st.unique_bytes),
-                static_cast<unsigned long long>(st.request_cycles),
-                static_cast<unsigned long long>(st.request_cycles_4b),
-                static_cast<unsigned long long>(st.request_cycles_8b),
-                st.max_conflict_degree,
-                static_cast<unsigned long long>(st.sectors),
-                static_cast<unsigned long long>(st.const_requests));
+    w.begin_object()
+        .kv("name", d.name)
+        .kv("op", sim::op_name(d.op))
+        .kv("citation", d.citation)
+        .kv("data_dependent", d.data_dependent)
+        .kv("instrs", st.instrs)
+        .kv("live_lanes", st.live_lanes)
+        .kv("lane_bytes", st.lane_bytes)
+        .kv("unique_bytes", st.unique_bytes)
+        .kv("request_cycles", st.request_cycles)
+        .kv("request_cycles_4b", st.request_cycles_4b)
+        .kv("request_cycles_8b", st.request_cycles_8b)
+        .kv("max_conflict_degree", st.max_conflict_degree)
+        .kv("sectors", st.sectors)
+        .kv("const_requests", st.const_requests)
+        .end_object();
   }
-  out += rep.sites.empty() ? "],\n" : "\n" + in1 + "],\n";
-  out += in1 + "\"races\": [";
-  for (std::size_t i = 0; i < rep.races.size(); ++i) {
-    const RacePair& p = rep.races[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += in2 +
-           strf("{\"site_a\": \"%s\", \"site_b\": \"%s\", \"verdict\": "
-                "\"%s\", \"overlap\": %s, \"witness_addr\": %llu}",
-                json_escape(rep.sites[p.site_a].name).c_str(),
-                json_escape(rep.sites[p.site_b].name).c_str(),
-                race_verdict_name(p.verdict), p.overlap ? "true" : "false",
-                static_cast<unsigned long long>(p.witness_addr));
+  w.end_array().key("races").begin_array();
+  for (const RacePair& p : rep.races) {
+    w.begin_object()
+        .kv("site_a", rep.sites[p.site_a].name)
+        .kv("site_b", rep.sites[p.site_b].name)
+        .kv("verdict", race_verdict_name(p.verdict))
+        .kv("overlap", p.overlap)
+        .kv("witness_addr", p.witness_addr)
+        .end_object();
   }
-  out += rep.races.empty() ? "],\n" : "\n" + in1 + "],\n";
-  out += in1 + "\"findings\": [";
-  for (std::size_t i = 0; i < rep.findings.size(); ++i) {
-    const Finding& f = rep.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += in2 +
-           strf("{\"site\": \"%s\", \"kind\": \"%s\", \"severity\": \"%s\", "
-                "\"value\": %.6g, \"threshold\": %.6g, \"message\": \"%s\", "
-                "\"remediation\": \"%s\", \"citation\": \"%s\"}",
-                json_escape(f.site).c_str(), json_escape(f.kind).c_str(),
-                analysis::severity_name(f.severity), f.value, f.threshold,
-                json_escape(f.message).c_str(),
-                json_escape(f.remediation).c_str(),
-                json_escape(f.citation).c_str());
+  w.end_array().key("findings").begin_array();
+  for (const analysis::Finding& f : rep.findings) {
+    analysis::finding_to_json(w, f);
   }
-  out += rep.findings.empty() ? "]\n" : "\n" + in1 + "]\n";
-  out += pad + "}";
-  return out;
+  w.end_array().end_object();
 }
 
 }  // namespace kconv::xray

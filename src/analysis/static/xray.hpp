@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/analysis/diagnostics.hpp"
+#include "src/common/json.hpp"
 #include "src/common/types.hpp"
 #include "src/sim/arch.hpp"
 #include "src/sim/config.hpp"
@@ -91,19 +92,6 @@ struct RacePair {
   /// overlap have this false).
   bool overlap = false;
   u64 witness_addr = 0;  ///< first conflicting byte (non-disjoint verdicts)
-};
-
-/// A paper-cited static finding, in the spirit of analysis::LintFinding but
-/// anchored to an access site.
-struct Finding {
-  std::string site;  ///< site name, or "" for launch-level findings
-  std::string kind;  ///< kebab-case, stable (pinned by the schema tests)
-  analysis::Severity severity = analysis::Severity::Info;
-  double value = 0.0;
-  double threshold = 0.0;
-  std::string message;
-  std::string remediation;
-  std::string citation;
 };
 
 class ModelSink;
@@ -174,7 +162,7 @@ struct StaticReport {
   /// FNV-1a over the first analyzed block's site profile + launch geometry:
   /// the kernel's static access signature (plan-cache pre-validation).
   u64 signature = 0;
-  std::vector<Finding> findings;
+  std::vector<analysis::Finding> findings;
 
   /// No definite races and no findings at Warning or above.
   bool clean() const;
@@ -222,9 +210,8 @@ CrossCheck cross_validate(const StaticReport& rep,
 /// Human-readable report ("=== kconv-xray ===" ... verdict line).
 std::string format_static(const StaticReport& rep);
 
-/// JSON object (no trailing newline), members indented by `indent` spaces —
-/// same embedding convention as analysis::to_json.
-std::string to_json(const StaticReport& rep, int indent = 0);
+/// JSON object: geometry, predicted counters, sites, races, findings.
+void to_json(JsonWriter& w, const StaticReport& rep);
 
 /// Models the Device allocator so describers can place buffers at the exact
 /// flat addresses a real run would see (GM sector splits depend on base

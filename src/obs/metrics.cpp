@@ -3,20 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/strutil.hpp"
-
 namespace kconv::obs {
-
-namespace {
-
-// Round-trippable double for JSON output; 1e-9 switches "-0" to "0" noise
-// off by normalising negative zero.
-std::string jnum(double v) {
-  if (v == 0.0) v = 0.0;
-  return strf("%.17g", v);
-}
-
-}  // namespace
 
 i32 Histogram::bucket_of(double v) {
   if (!(v > 0.0)) return kUnderflow;
@@ -115,22 +102,22 @@ double Histogram::percentile(double q) const {
   return max_;
 }
 
-std::string Histogram::to_json() const {
-  std::string out = strf(
-      "{\"count\":%llu,\"sum\":%s,\"min\":%s,\"max\":%s,\"exact\":%s,"
-      "\"p50\":%s,\"p95\":%s,\"p99\":%s,\"buckets\":[",
-      (unsigned long long)count_, jnum(sum()).c_str(), jnum(min()).c_str(),
-      jnum(max()).c_str(), exact_ ? "true" : "false",
-      jnum(percentile(0.50)).c_str(), jnum(percentile(0.95)).c_str(),
-      jnum(percentile(0.99)).c_str());
-  bool first = true;
+void Histogram::to_json(JsonWriter& w) const {
+  w.begin_object()
+      .kv("count", count_)
+      .kv("sum", sum())
+      .kv("min", min())
+      .kv("max", max())
+      .kv("exact", exact_)
+      .kv("p50", percentile(0.50))
+      .kv("p95", percentile(0.95))
+      .kv("p99", percentile(0.99))
+      .key("buckets")
+      .begin_array(JsonWriter::Layout::Line);
   for (const auto& [b, n] : buckets_) {
-    if (!first) out += ",";
-    first = false;
-    out += strf("[%d,%llu]", (int)b, (unsigned long long)n);
+    w.begin_array().value(b).value(n).end_array();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
 }
 
 void Metrics::gauge_max(const std::string& name, double v) {
@@ -151,31 +138,25 @@ void Metrics::merge(const Metrics& o) {
 std::string MetricsRegistry::snapshot_jsonl(u64 snapshot) const {
   std::string out;
   for (const auto& [key, m] : groups_) {
-    out += strf("{\"snapshot\":%llu,\"network\":\"%s\",\"shape\":\"%s\","
-                "\"mode\":\"%s\",\"counters\":{",
-                (unsigned long long)snapshot, key.network.c_str(),
-                key.shape.c_str(), key.mode.c_str());
-    bool first = true;
-    for (const auto& [k, v] : m.counters) {
-      if (!first) out += ",";
-      first = false;
-      out += strf("\"%s\":%llu", k.c_str(), (unsigned long long)v);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [k, v] : m.gauges) {
-      if (!first) out += ",";
-      first = false;
-      out += strf("\"%s\":%s", k.c_str(), jnum(v).c_str());
-    }
-    out += "},\"histograms\":{";
-    first = true;
+    JsonWriter w;
+    w.begin_object(JsonWriter::Layout::Line)
+        .kv("snapshot", snapshot)
+        .kv("network", key.network)
+        .kv("shape", key.shape)
+        .kv("mode", key.mode)
+        .key("counters")
+        .begin_object();
+    for (const auto& [k, v] : m.counters) w.kv(k, v);
+    w.end_object().key("gauges").begin_object();
+    for (const auto& [k, v] : m.gauges) w.kv(k, v);
+    w.end_object().key("histograms").begin_object();
     for (const auto& [k, h] : m.hists) {
-      if (!first) out += ",";
-      first = false;
-      out += strf("\"%s\":%s", k.c_str(), h.to_json().c_str());
+      w.key(k);
+      h.to_json(w);
     }
-    out += "}}\n";
+    w.end_object().end_object();
+    out += w.str();
+    out += '\n';
   }
   return out;
 }

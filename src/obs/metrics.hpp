@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/common/types.hpp"
 
 namespace kconv::obs {
@@ -67,7 +68,7 @@ class Histogram {
 
   /// {"count":N,"sum":S,"min":m,"max":M,"exact":b,"p50":..,"p95":..,
   ///  "p99":..,"buckets":[[b,n],...]} — the metrics.jsonl shape.
-  std::string to_json() const;
+  void to_json(JsonWriter& w) const;
 
  private:
   u64 count_ = 0;

@@ -64,20 +64,15 @@ PlanCacheTaxonomy& PlanCacheTaxonomy::operator+=(const PlanCacheTaxonomy& o) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strf("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
+// Opens one events.jsonl record; the caller adds its fields and ts_us, and
+// write_line closes it.
+JsonWriter event(const char* ev, u64 trace, u64 span) {
+  JsonWriter w;
+  w.begin_object(JsonWriter::Layout::Line)
+      .kv("ev", ev)
+      .kv("trace", trace)
+      .kv("span", span);
+  return w;
 }
 
 }  // namespace
@@ -118,7 +113,9 @@ double TelemetrySink::now_us() const {
   return static_cast<double>(ns - epoch_ns_) / 1e3;
 }
 
-void TelemetrySink::write_line(const std::string& line) {
+void TelemetrySink::write_line(JsonWriter& w) {
+  w.end_object();
+  const std::string& line = w.str();
   std::fwrite(line.data(), 1, line.size(), events_);
   std::fputc('\n', events_);
   std::fflush(events_);
@@ -126,8 +123,7 @@ void TelemetrySink::write_line(const std::string& line) {
 }
 
 u64 TelemetrySink::begin_span(u64 trace, u64 parent, const char* tier,
-                              const std::string& name,
-                              std::string args_json) {
+                              const std::string& name, const SpanArgs& args) {
   std::lock_guard<std::mutex> lock(mu_);
   const u64 id = next_span_++;
   SpanRecord rec;
@@ -136,20 +132,21 @@ u64 TelemetrySink::begin_span(u64 trace, u64 parent, const char* tier,
   rec.parent = parent;
   rec.tier = tier;
   rec.name = name;
-  rec.args_json = std::move(args_json);
   rec.begin_us = now_us();
   span_index_[id] = spans_.size();
-  std::string line = strf(
-      "{\"ev\":\"span_begin\",\"trace\":%llu,\"span\":%llu,\"parent\":%llu,"
-      "\"tier\":\"%s\",\"name\":\"%s\",\"ts_us\":%.3f",
-      (unsigned long long)trace, (unsigned long long)id,
-      (unsigned long long)parent, tier, json_escape(name).c_str(),
-      rec.begin_us);
-  if (!rec.args_json.empty()) line += strf(",\"args\":%s", rec.args_json.c_str());
-  line += "}";
+  JsonWriter w = event("span_begin", trace, id);
+  w.kv("parent", parent)
+      .kv("tier", tier)
+      .kv("name", name)
+      .kv("ts_us", rec.begin_us);
+  if (args) {
+    w.key("args").begin_object();
+    args(w);
+    w.end_object();
+  }
   spans_.push_back(std::move(rec));
   ++open_;
-  write_line(line);
+  write_line(w);
   return id;
 }
 
@@ -161,23 +158,20 @@ void TelemetrySink::end_span(u64 span) {
   if (rec.end_us >= 0.0) return;
   rec.end_us = now_us();
   if (open_ > 0) --open_;
-  write_line(strf("{\"ev\":\"span_end\",\"trace\":%llu,\"span\":%llu,"
-                  "\"ts_us\":%.3f}",
-                  (unsigned long long)rec.trace, (unsigned long long)span,
-                  rec.end_us));
+  JsonWriter w = event("span_end", rec.trace, span);
+  w.kv("ts_us", rec.end_us);
+  write_line(w);
 }
 
 void TelemetrySink::plan_cache_event(u64 trace, u64 span,
                                      const std::string& status,
                                      u64 blocks_replayed) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string st = status.empty() ? "unplanned" : status;
-  write_line(strf("{\"ev\":\"plan_cache\",\"trace\":%llu,\"span\":%llu,"
-                  "\"status\":\"%s\",\"blocks_replayed\":%llu,"
-                  "\"ts_us\":%.3f}",
-                  (unsigned long long)trace, (unsigned long long)span,
-                  json_escape(st).c_str(), (unsigned long long)blocks_replayed,
-                  now_us()));
+  JsonWriter w = event("plan_cache", trace, span);
+  w.kv("status", status.empty() ? "unplanned" : status)
+      .kv("blocks_replayed", blocks_replayed)
+      .kv("ts_us", now_us());
+  write_line(w);
 }
 
 void TelemetrySink::fleet_device_event(u64 trace, u64 span, u32 device,
@@ -186,36 +180,30 @@ void TelemetrySink::fleet_device_event(u64 trace, u64 span, u32 device,
                                        double transfer_s, double compute_s,
                                        double comm_ratio) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool comm_bound = transfer_s > compute_s;
-  write_line(strf(
-      "{\"ev\":\"fleet_device\",\"trace\":%llu,\"span\":%llu,\"device\":%u,"
-      "\"blocks\":%llu,\"h2d_bytes\":%llu,\"d2h_bytes\":%llu,"
-      "\"d2d_bytes\":%llu,\"transfer_us\":%.3f,\"compute_us\":%.3f,"
-      "\"comm_ratio\":%.6f,\"comm_bound\":%s,\"ts_us\":%.3f}",
-      (unsigned long long)trace, (unsigned long long)span, device,
-      (unsigned long long)blocks, (unsigned long long)h2d_bytes,
-      (unsigned long long)d2h_bytes, (unsigned long long)d2d_bytes,
-      transfer_s * 1e6, compute_s * 1e6, comm_ratio,
-      comm_bound ? "true" : "false", now_us()));
+  JsonWriter w = event("fleet_device", trace, span);
+  w.kv("device", device)
+      .kv("blocks", blocks)
+      .kv("h2d_bytes", h2d_bytes)
+      .kv("d2h_bytes", d2h_bytes)
+      .kv("d2d_bytes", d2d_bytes)
+      .kv("transfer_us", transfer_s * 1e6)
+      .kv("compute_us", compute_s * 1e6)
+      .kv("comm_ratio", comm_ratio)
+      .kv("comm_bound", transfer_s > compute_s)
+      .kv("ts_us", now_us());
+  write_line(w);
   // Device lanes: the launch model serialises a chunk's transfers before its
   // compute, so the lane cursor advances transfer-then-compute per event.
   double& cur = device_cursor_us_[device];
-  DeviceLaneSlice t;
-  t.device = device;
-  t.transfer = true;
-  t.name = strf("transfer trace=%llu", (unsigned long long)trace);
-  t.begin_us = cur;
-  t.dur_us = transfer_s * 1e6;
-  t.bytes = h2d_bytes + d2h_bytes + d2d_bytes;
+  const profile::DeviceTraceSlice t{
+      device, true, strf("transfer trace=%llu", (unsigned long long)trace),
+      cur, transfer_s * 1e6, h2d_bytes + d2h_bytes + d2d_bytes};
+  const profile::DeviceTraceSlice c{
+      device, false,
+      strf("compute trace=%llu blocks=%llu", (unsigned long long)trace,
+           (unsigned long long)blocks),
+      cur + t.dur_us, compute_s * 1e6, 0};
   device_slices_.push_back(t);
-  DeviceLaneSlice c;
-  c.device = device;
-  c.transfer = false;
-  c.name = strf("compute trace=%llu blocks=%llu", (unsigned long long)trace,
-                (unsigned long long)blocks);
-  c.begin_us = cur + t.dur_us;
-  c.dur_us = compute_s * 1e6;
-  c.bytes = 0;
   device_slices_.push_back(c);
   cur = c.begin_us + c.dur_us;
 }
@@ -223,13 +211,13 @@ void TelemetrySink::fleet_device_event(u64 trace, u64 span, u32 device,
 void TelemetrySink::arena_event(u64 trace, u64 span, const std::string& node,
                                 i64 slot, bool reused, u64 bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  write_line(strf("{\"ev\":\"arena_slot\",\"trace\":%llu,\"span\":%llu,"
-                  "\"node\":\"%s\",\"slot\":%lld,\"reused\":%s,"
-                  "\"bytes\":%llu,\"ts_us\":%.3f}",
-                  (unsigned long long)trace, (unsigned long long)span,
-                  json_escape(node).c_str(), (long long)slot,
-                  reused ? "true" : "false", (unsigned long long)bytes,
-                  now_us()));
+  JsonWriter w = event("arena_slot", trace, span);
+  w.kv("node", node)
+      .kv("slot", slot)
+      .kv("reused", reused)
+      .kv("bytes", bytes)
+      .kv("ts_us", now_us());
+  write_line(w);
 }
 
 void TelemetrySink::merge_metrics(const MetricsKey& key,
@@ -265,7 +253,7 @@ std::vector<SpanRecord> TelemetrySink::spans() const {
   return spans_;
 }
 
-std::vector<DeviceLaneSlice> TelemetrySink::device_slices() const {
+std::vector<profile::DeviceTraceSlice> TelemetrySink::device_slices() const {
   std::lock_guard<std::mutex> lock(mu_);
   return device_slices_;
 }

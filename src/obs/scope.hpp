@@ -18,13 +18,16 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/common/types.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/profile/trace_export.hpp"
 
 namespace kconv::obs {
 
@@ -65,22 +68,8 @@ struct SpanRecord {
   u64 parent = 0;  ///< 0 = root
   std::string tier;  ///< "serving" | "graph" | "launch"
   std::string name;
-  std::string args_json;  ///< "" or a JSON object literal
   double begin_us = 0.0;
   double end_us = -1.0;
-};
-
-/// One priced interval on a device lane of the unified trace: transfer time
-/// from the chunk's TransferLedger or its modeled compute time. Lane
-/// placement uses a per-device cursor so each track is monotone regardless
-/// of worker-thread arrival order.
-struct DeviceLaneSlice {
-  u32 device = 0;
-  bool transfer = false;  ///< true = transfer lane, false = compute lane
-  std::string name;
-  double begin_us = 0.0;
-  double dur_us = 0.0;
-  u64 bytes = 0;
 };
 
 /// Thread-safe JSONL event sink + metrics owner. Construction creates the
@@ -96,9 +85,16 @@ class TelemetrySink {
 
   const std::string& dir() const { return dir_; }
 
-  /// Opens a span and appends its span_begin event. Returns the span id.
+  /// Writes a span's args as members of the `args` object the span_begin
+  /// event opens for them. It runs under the sink's lock, so the line stays
+  /// atomic with the span id and timestamp: write to the writer, nothing
+  /// else.
+  using SpanArgs = std::function<void(JsonWriter&)>;
+
+  /// Opens a span and appends its span_begin event (with an `args` object
+  /// when `args` is set). Returns the span id.
   u64 begin_span(u64 trace, u64 parent, const char* tier,
-                 const std::string& name, std::string args_json = {});
+                 const std::string& name, const SpanArgs& args = {});
   void end_span(u64 span);
 
   /// §5d plan-cache outcome for one launch ("" normalises to "unplanned").
@@ -126,14 +122,17 @@ class TelemetrySink {
   u64 snapshots_written() const;
   u64 open_spans() const;
   std::vector<SpanRecord> spans() const;
-  std::vector<DeviceLaneSlice> device_slices() const;
+  /// Priced transfer/compute intervals on the device lanes of the unified
+  /// trace. Lane placement uses a per-device cursor so each track is
+  /// monotone regardless of worker-thread arrival order.
+  std::vector<profile::DeviceTraceSlice> device_slices() const;
   MetricsRegistry metrics_copy() const;
 
   /// Monotonic microseconds since sink construction.
   double now_us() const;
 
  private:
-  void write_line(const std::string& line);  // callers hold mu_
+  void write_line(JsonWriter& w);  // closes w's object; callers hold mu_
 
   std::string dir_;
   std::FILE* events_ = nullptr;
@@ -145,7 +144,7 @@ class TelemetrySink {
   u64 open_ = 0;
   std::vector<SpanRecord> spans_;
   std::map<u64, std::size_t> span_index_;
-  std::vector<DeviceLaneSlice> device_slices_;
+  std::vector<profile::DeviceTraceSlice> device_slices_;
   std::map<u32, double> device_cursor_us_;
   MetricsRegistry registry_;
   i64 epoch_ns_ = 0;

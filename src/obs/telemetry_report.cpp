@@ -84,76 +84,62 @@ std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t) {
   return out;
 }
 
-std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
-                             u64 evictions) {
-  return strf(
-      "{\"launches\": %llu, \"hit\": %llu, \"miss\": %llu, "
-      "\"corrupt\": %llu, \"corrupt_payload\": %llu, "
-      "\"stale_version\": %llu, \"stale_key\": %llu, \"stale_arch\": %llu, "
-      "\"stale_config\": %llu, \"stale_trace_level\": %llu, "
-      "\"stale_static_signature\": %llu, \"disabled\": %llu, "
-      "\"unplanned\": %llu, \"stores\": %llu, \"evictions\": %llu}",
-      (unsigned long long)t.total(), (unsigned long long)t.hit,
-      (unsigned long long)t.miss, (unsigned long long)t.corrupt,
-      (unsigned long long)t.corrupt_payload,
-      (unsigned long long)t.stale_version, (unsigned long long)t.stale_key,
-      (unsigned long long)t.stale_arch, (unsigned long long)t.stale_config,
-      (unsigned long long)t.stale_trace_level,
-      (unsigned long long)t.stale_static_signature,
-      (unsigned long long)t.disabled, (unsigned long long)t.unplanned,
-      (unsigned long long)stores, (unsigned long long)evictions);
+void taxonomy_to_json(JsonWriter& w, const PlanCacheTaxonomy& t, u64 stores,
+                      u64 evictions) {
+  w.begin_object()
+      .kv("launches", t.total())
+      .kv("hit", t.hit)
+      .kv("miss", t.miss)
+      .kv("corrupt", t.corrupt)
+      .kv("corrupt_payload", t.corrupt_payload)
+      .kv("stale_version", t.stale_version)
+      .kv("stale_key", t.stale_key)
+      .kv("stale_arch", t.stale_arch)
+      .kv("stale_config", t.stale_config)
+      .kv("stale_trace_level", t.stale_trace_level)
+      .kv("stale_static_signature", t.stale_static_signature)
+      .kv("disabled", t.disabled)
+      .kv("unplanned", t.unplanned)
+      .kv("stores", stores)
+      .kv("evictions", evictions)
+      .end_object();
 }
 
-std::string telemetry_to_json(const ServingTelemetry& t, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  std::string out = "{\n";
-  auto line = [&](const std::string& body, bool last = false) {
-    out += pad + "  " + body + (last ? "\n" : ",\n");
-  };
-  line(strf("\"dir\": \"%s\"", t.dir.c_str()));
-  line(strf("\"events\": %llu", (unsigned long long)t.events));
-  line(strf("\"snapshots\": %llu", (unsigned long long)t.snapshots));
-  line(strf("\"metric_groups\": %llu", (unsigned long long)t.metric_groups));
-  line(strf("\"requests\": %llu", (unsigned long long)t.requests));
-  line(strf("\"batches\": %llu", (unsigned long long)t.batches));
-  line(strf("\"cold\": %llu", (unsigned long long)t.cold));
-  line(strf("\"warm\": %llu", (unsigned long long)t.warm));
-  line(strf("\"analytic\": %llu", (unsigned long long)t.analytic));
-  line(strf("\"conv_launches\": %llu", (unsigned long long)t.conv_launches));
-  line(strf("\"plan_cache\": %s",
-            taxonomy_to_json(t.taxonomy, t.plan_stores, t.plan_evictions)
-                .c_str()));
-  line(strf("\"warm_path_ratio\": %.6f", t.warm_path_ratio()));
-  line(strf("\"eviction_churn\": %.6f", t.eviction_churn()));
-  line(strf("\"fleet_device_chunks\": %llu",
-            (unsigned long long)t.fleet_device_chunks));
-  line(strf("\"comm_bound_devices\": %llu",
-            (unsigned long long)t.comm_bound_devices));
-  line(strf("\"max_queue_depth\": %llu",
-            (unsigned long long)t.max_queue_depth));
-  line(strf("\"max_inflight_batches\": %llu",
-            (unsigned long long)t.max_inflight_batches));
-  line(strf("\"arena_peak_bytes\": %llu",
-            (unsigned long long)t.arena_peak_bytes));
-  line(strf("\"latency_s\": %s", t.latency_s.to_json().c_str()));
+void health_to_json(JsonWriter& w, const HealthVerdict& v) {
+  w.begin_object()
+      .kv("name", v.name)
+      .kv("verdict", v.verdict)
+      .kv("detail", v.detail)
+      .end_object();
+}
+
+void telemetry_to_json(JsonWriter& w, const ServingTelemetry& t) {
+  w.begin_object()
+      .kv("dir", t.dir)
+      .kv("events", t.events)
+      .kv("snapshots", t.snapshots)
+      .kv("metric_groups", t.metric_groups)
+      .kv("requests", t.requests)
+      .kv("batches", t.batches)
+      .kv("cold", t.cold)
+      .kv("warm", t.warm)
+      .kv("analytic", t.analytic)
+      .kv("conv_launches", t.conv_launches)
+      .key("plan_cache");
+  taxonomy_to_json(w, t.taxonomy, t.plan_stores, t.plan_evictions);
+  w.kv("warm_path_ratio", t.warm_path_ratio())
+      .kv("eviction_churn", t.eviction_churn())
+      .kv("fleet_device_chunks", t.fleet_device_chunks)
+      .kv("comm_bound_devices", t.comm_bound_devices)
+      .kv("max_queue_depth", t.max_queue_depth)
+      .kv("max_inflight_batches", t.max_inflight_batches)
+      .kv("arena_peak_bytes", t.arena_peak_bytes)
+      .key("latency_s");
+  t.latency_s.to_json(w);
   // Health verdicts, machine-checkable.
-  out += pad + "  \"health\": [\n";
-  const std::vector<HealthVerdict> verdicts = health_verdicts(t);
-  for (std::size_t i = 0; i < verdicts.size(); ++i) {
-    std::string detail;
-    for (char c : verdicts[i].detail) {
-      if (c == '"' || c == '\\') detail += '\\';
-      detail += c;
-    }
-    out += pad + strf("    {\"name\": \"%s\", \"verdict\": \"%s\", "
-                      "\"detail\": \"%s\"}%s\n",
-                      verdicts[i].name.c_str(), verdicts[i].verdict.c_str(),
-                      detail.c_str(),
-                      i + 1 < verdicts.size() ? "," : "");
-  }
-  out += pad + "  ]\n";
-  out += pad + "}";
-  return out;
+  w.key("health").begin_array();
+  for (const HealthVerdict& v : health_verdicts(t)) health_to_json(w, v);
+  w.end_array().end_object();
 }
 
 std::string format_telemetry(const ServingTelemetry& t) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/scope.hpp"
 
@@ -65,15 +66,17 @@ struct HealthVerdict {
 /// The three serving health checks with paper-cited interpretations.
 std::vector<HealthVerdict> health_verdicts(const ServingTelemetry& t);
 
-/// Single-line JSON object for a taxonomy: {"launches":N,"hit":..,...,
-/// "stores":S,"evictions":E}. Shared by the serving `plan_cache` block and
-/// the `telemetry` block so the two can be cross-checked field by field.
-std::string taxonomy_to_json(const PlanCacheTaxonomy& t, u64 stores,
-                             u64 evictions);
+/// JSON object for a taxonomy: {"launches":N,"hit":..,...,"stores":S,
+/// "evictions":E}. Shared by the serving `plan_cache` block and the
+/// `telemetry` block so the two can be cross-checked field by field.
+void taxonomy_to_json(JsonWriter& w, const PlanCacheTaxonomy& t, u64 stores,
+                      u64 evictions);
 
-/// The report/JSON `telemetry` block. `indent` is the number of spaces
-/// prefixed to every line so callers can nest it in their own object.
-std::string telemetry_to_json(const ServingTelemetry& t, int indent);
+/// One health verdict as a JSON object: {"name", "verdict", "detail"}.
+void health_to_json(JsonWriter& w, const HealthVerdict& v);
+
+/// The report/JSON `telemetry` block.
+void telemetry_to_json(JsonWriter& w, const ServingTelemetry& t);
 
 /// Human-readable health summary for report output.
 std::string format_telemetry(const ServingTelemetry& t);

@@ -39,19 +39,8 @@ std::string unified_trace_json(
     serving.push_back(std::move(sp));
   }
 
-  std::vector<profile::DeviceTraceSlice> devices;
-  for (const DeviceLaneSlice& sl : sink.device_slices()) {
-    profile::DeviceTraceSlice d;
-    d.device = sl.device;
-    d.transfer = sl.transfer;
-    d.name = sl.name;
-    d.begin_us = sl.begin_us;
-    d.dur_us = sl.dur_us;
-    d.bytes = sl.bytes;
-    devices.push_back(std::move(d));
-  }
-
-  return profile::unified_chrome_trace_json(arch, serving, devices, blocks);
+  return profile::unified_chrome_trace_json(arch, serving,
+                                           sink.device_slices(), blocks);
 }
 
 }  // namespace kconv::obs

@@ -79,47 +79,32 @@ void attribute_phase(PhaseAttribution& a) {
   }
 }
 
-std::string json_phase(const PhaseAttribution& a, const std::string& pad) {
+void json_phase(JsonWriter& w, const PhaseAttribution& a) {
   const PhaseStats& s = a.stats;
-  std::string out = pad + "{";
-  out += strf("\"phase\": \"%s\", ", phase_name(a.phase));
-  out += strf("\"cycles\": %.6g, ", a.pipes.total);
-  out += strf("\"bound\": \"%s\", ", a.bound.c_str());
-  out += strf("\"efficiency\": %.6g,\n", a.efficiency);
-  out += pad + " ";
-  out += strf("\"fma_lane_ops\": %llu, \"alu_lane_ops\": %llu, "
-              "\"smem_instrs\": %llu, \"smem_request_cycles\": %llu, "
-              "\"smem_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.fma_lane_ops),
-              static_cast<unsigned long long>(s.alu_lane_ops),
-              static_cast<unsigned long long>(s.smem_instrs),
-              static_cast<unsigned long long>(s.smem_request_cycles),
-              static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += pad + " ";
-  out += strf("\"smem_store_instrs\": %llu, "
-              "\"smem_store_request_cycles\": %llu, "
-              "\"smem_store_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_instrs),
-              static_cast<unsigned long long>(s.smem_store_request_cycles),
-              static_cast<unsigned long long>(s.smem_store_lane_bytes));
-  out += pad + " ";
-  out += strf("\"gm_instrs\": %llu, \"gm_sectors\": %llu, "
-              "\"gm_sectors_dram\": %llu, \"gm_bytes_useful\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_instrs),
-              static_cast<unsigned long long>(s.gm_sectors),
-              static_cast<unsigned long long>(s.gm_sectors_dram),
-              static_cast<unsigned long long>(s.gm_bytes_useful));
-  out += pad + " ";
-  out += strf("\"const_instrs\": %llu, \"const_requests\": %llu, "
-              "\"const_line_misses\": %llu, \"barriers\": %llu, "
-              "\"pattern_lookups\": %llu, \"pattern_hits\": %llu}",
-              static_cast<unsigned long long>(s.const_instrs),
-              static_cast<unsigned long long>(s.const_requests),
-              static_cast<unsigned long long>(s.const_line_misses),
-              static_cast<unsigned long long>(s.barriers),
-              static_cast<unsigned long long>(s.pattern_lookups),
-              static_cast<unsigned long long>(s.pattern_hits));
-  return out;
+  w.begin_object()
+      .kv("phase", phase_name(a.phase))
+      .kv("cycles", a.pipes.total)
+      .kv("bound", a.bound)
+      .kv("efficiency", a.efficiency)
+      .kv("fma_lane_ops", s.fma_lane_ops)
+      .kv("alu_lane_ops", s.alu_lane_ops)
+      .kv("smem_instrs", s.smem_instrs)
+      .kv("smem_request_cycles", s.smem_request_cycles)
+      .kv("smem_lane_bytes", s.smem_lane_bytes)
+      .kv("smem_store_instrs", s.smem_store_instrs)
+      .kv("smem_store_request_cycles", s.smem_store_request_cycles)
+      .kv("smem_store_lane_bytes", s.smem_store_lane_bytes)
+      .kv("gm_instrs", s.gm_instrs)
+      .kv("gm_sectors", s.gm_sectors)
+      .kv("gm_sectors_dram", s.gm_sectors_dram)
+      .kv("gm_bytes_useful", s.gm_bytes_useful)
+      .kv("const_instrs", s.const_instrs)
+      .kv("const_requests", s.const_requests)
+      .kv("const_line_misses", s.const_line_misses)
+      .kv("barriers", s.barriers)
+      .kv("pattern_lookups", s.pattern_lookups)
+      .kv("pattern_hits", s.pattern_hits)
+      .end_object();
 }
 
 }  // namespace
@@ -245,35 +230,27 @@ std::string format_profile(const sim::Arch& arch, const LaunchProfile& prof) {
   return out;
 }
 
-std::string profile_to_json(const sim::Arch& arch, const LaunchProfile& prof,
-                            int indent) {
+void profile_to_json(JsonWriter& w, const sim::Arch& arch,
+                     const LaunchProfile& prof) {
   const RooflineReport r = attribute_roofline(arch, prof);
-  const std::string pad(static_cast<size_t>(indent), ' ');
-  const std::string pad2 = pad + "  ";
-  const std::string pad3 = pad2 + "  ";
-  std::string out = "{\n";
-  out += pad2 + "\"phases\": [\n";
-  for (size_t i = 0; i < r.phases.size(); ++i) {
-    out += json_phase(r.phases[i], pad3);
-    out += i + 1 < r.phases.size() ? ",\n" : "\n";
-  }
-  out += pad2 + "],\n";
-  out += pad2 + "\"roofline\": {\n";
-  out += pad3 + strf("\"kind\": \"%s\",\n", roofline_kind_name(r.hints.kind));
-  out += pad3 + strf("\"k\": %u, \"wt\": %u, \"ft\": %u,\n", r.hints.k,
-                     r.hints.wt, r.hints.ft);
-  out += pad3 + strf("\"gm_load_bytes\": %.6g,\n", r.gm_load_bytes);
-  out += pad3 + strf("\"gm_load_bound_bytes\": %.6g,\n",
-                     r.hints.gm_load_bound_bytes);
-  out += pad3 + strf("\"gm_load_ratio\": %.6g,\n", r.gm_load_ratio);
-  out += pad3 + strf("\"smem_load_elems_per_fma\": %.6g,\n",
-                     r.smem_load_elems_per_fma);
-  out += pad3 + strf("\"smem_load_elems_per_fma_bound\": %.6g,\n",
-                     r.hints.smem_load_elems_per_fma_bound);
-  out += pad3 + strf("\"sm_reduction_bound\": %.6g\n", r.sm_reduction_bound);
-  out += pad2 + "}\n";
-  out += pad + "}";
-  return out;
+  w.begin_object().key("phases").begin_array();
+  for (const PhaseAttribution& a : r.phases) json_phase(w, a);
+  w.end_array()
+      .key("roofline")
+      .begin_object()
+      .kv("kind", roofline_kind_name(r.hints.kind))
+      .kv("k", r.hints.k)
+      .kv("wt", r.hints.wt)
+      .kv("ft", r.hints.ft)
+      .kv("gm_load_bytes", r.gm_load_bytes)
+      .kv("gm_load_bound_bytes", r.hints.gm_load_bound_bytes)
+      .kv("gm_load_ratio", r.gm_load_ratio)
+      .kv("smem_load_elems_per_fma", r.smem_load_elems_per_fma)
+      .kv("smem_load_elems_per_fma_bound",
+          r.hints.smem_load_elems_per_fma_bound)
+      .kv("sm_reduction_bound", r.sm_reduction_bound)
+      .end_object()
+      .end_object();
 }
 
 }  // namespace kconv::profile

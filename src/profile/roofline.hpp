@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.hpp"
 #include "src/profile/collector.hpp"
 #include "src/sim/arch.hpp"
 
@@ -67,9 +68,9 @@ RooflineReport attribute_roofline(const sim::Arch& arch,
 /// Text block appended to sim::format_report when profiling is on.
 std::string format_profile(const sim::Arch& arch, const LaunchProfile& prof);
 
-/// JSON object for the report's "profile" key, indented by `indent`
-/// spaces: {"phases": [...], "roofline": {...}}.
-std::string profile_to_json(const sim::Arch& arch, const LaunchProfile& prof,
-                            int indent);
+/// JSON object for the report's "profile" key:
+/// {"phases": [...], "roofline": {...}}.
+void profile_to_json(JsonWriter& w, const sim::Arch& arch,
+                     const LaunchProfile& prof);
 
 }  // namespace kconv::profile

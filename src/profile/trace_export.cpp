@@ -1,9 +1,9 @@
 #include "src/profile/trace_export.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 
+#include "src/common/json.hpp"
 #include "src/common/strutil.hpp"
 #include "src/profile/roofline.hpp"
 
@@ -26,114 +26,113 @@ double slice_us(const sim::Arch& arch, const PhaseSlice& sl) {
   return cycles / (arch.clock_ghz * 1e3);
 }
 
-using Emit = std::function<void(std::string)>;
+// Opens one trace event: a single-line object inside traceEvents.
+JsonWriter& event(JsonWriter& w, std::string_view name, const char* ph,
+                  u64 pid) {
+  return w.begin_object(JsonWriter::Layout::Line)
+      .kv("name", name)
+      .kv("ph", ph)
+      .kv("pid", pid);
+}
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += strf("\\u%04x", c);
-    } else {
-      out += c;
-    }
-  }
-  return out;
+// A process_name / thread_name metadata event.
+void name_event(JsonWriter& w, const char* what, u64 pid, u64 tid,
+                std::string_view label) {
+  event(w, what, "M", pid)
+      .kv("tid", tid)
+      .key("args")
+      .begin_object()
+      .kv("name", label)
+      .end_object()
+      .end_object();
+}
+
+void counter_event(JsonWriter& w, const char* name, u64 pid, double ts,
+                   double value) {
+  event(w, name, "C", pid)
+      .kv("ts", ts)
+      .key("args")
+      .begin_object()
+      .kv("value", value)
+      .end_object()
+      .end_object();
 }
 
 // Emits one block timeline under `pid` with the given process label.
 // Shared by the single-launch export and the unified serving export.
-void emit_block_timeline(const Emit& emit, const sim::Arch& arch,
-                         const BlockTimeline& tl, unsigned long long pid,
+void emit_block_timeline(JsonWriter& w, const sim::Arch& arch,
+                         const BlockTimeline& tl, u64 pid,
                          const std::string& label) {
-  emit(strf("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %llu, "
-            "\"tid\": 0, \"args\": {\"name\": \"%s\"}}",
-            pid, escape(label).c_str()));
-  emit(strf("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %llu, "
-            "\"tid\": 0, \"args\": {\"name\": \"phases\"}}",
-            pid));
+  name_event(w, "process_name", pid, 0, label);
+  name_event(w, "thread_name", pid, 0, "phases");
   double ts = 0.0;
   for (const PhaseSlice& sl : tl.slices) {
     const double dur = slice_us(arch, sl);
     const PhaseStats& s = sl.stats;
-    emit(strf("{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %llu, "
-              "\"tid\": 0, \"ts\": %.6f, \"dur\": %.6f, \"args\": "
-              "{\"gm_sectors\": %llu, \"smem_request_cycles\": %llu, "
-              "\"const_requests\": %llu, \"fma_lane_ops\": %llu, "
-              "\"barriers\": %llu}}",
-              phase_name(sl.phase), pid, ts, dur,
-              static_cast<unsigned long long>(s.gm_sectors),
-              static_cast<unsigned long long>(s.smem_request_cycles),
-              static_cast<unsigned long long>(s.const_requests),
-              static_cast<unsigned long long>(s.fma_lane_ops),
-              static_cast<unsigned long long>(s.barriers)));
+    event(w, phase_name(sl.phase), "X", pid)
+        .kv("tid", 0)
+        .kv("ts", ts)
+        .kv("dur", dur)
+        .key("args")
+        .begin_object()
+        .kv("gm_sectors", s.gm_sectors)
+        .kv("smem_request_cycles", s.smem_request_cycles)
+        .kv("const_requests", s.const_requests)
+        .kv("fma_lane_ops", s.fma_lane_ops)
+        .kv("barriers", s.barriers)
+        .end_object()
+        .end_object();
     // Average bandwidths over the slice, as counter tracks.
     const double secs = dur * 1e-6;
-    const double gm_gbps = static_cast<double>(s.gm_sectors) *
-                           arch.gm_sector_bytes / secs / 1e9;
-    const double sm_gbps = static_cast<double>(s.smem_bytes) / secs / 1e9;
-    emit(strf("{\"name\": \"GM GB/s\", \"ph\": \"C\", \"pid\": %llu, "
-              "\"ts\": %.6f, \"args\": {\"value\": %.4g}}",
-              pid, ts, gm_gbps));
-    emit(strf("{\"name\": \"SM GB/s\", \"ph\": \"C\", \"pid\": %llu, "
-              "\"ts\": %.6f, \"args\": {\"value\": %.4g}}",
-              pid, ts, sm_gbps));
+    counter_event(w, "GM GB/s", pid, ts,
+                  static_cast<double>(s.gm_sectors) * arch.gm_sector_bytes /
+                      secs / 1e9);
+    counter_event(w, "SM GB/s", pid, ts,
+                  static_cast<double>(s.smem_bytes) / secs / 1e9);
     ts += dur;
   }
   // Close the counter tracks so the last value has an extent.
-  emit(strf("{\"name\": \"GM GB/s\", \"ph\": \"C\", \"pid\": %llu, "
-            "\"ts\": %.6f, \"args\": {\"value\": 0}}",
-            pid, ts));
-  emit(strf("{\"name\": \"SM GB/s\", \"ph\": \"C\", \"pid\": %llu, "
-            "\"ts\": %.6f, \"args\": {\"value\": 0}}",
-            pid, ts));
+  counter_event(w, "GM GB/s", pid, ts, 0.0);
+  counter_event(w, "SM GB/s", pid, ts, 0.0);
+}
+
+// Opens the trace document; the caller writes events, then end_trace().
+void begin_trace(JsonWriter& w) {
+  w.begin_object().kv("displayTimeUnit", "ms").key("traceEvents").begin_array();
+}
+
+std::string end_trace(JsonWriter& w) {
+  w.end_array().end_object();
+  return w.str();
 }
 
 }  // namespace
 
 std::string chrome_trace_json(const sim::Arch& arch,
                               const LaunchProfile& prof) {
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  Emit emit = [&](std::string ev) {
-    if (!first) out += ",\n";
-    first = false;
-    out += ev;
-  };
+  JsonWriter w;
+  begin_trace(w);
   for (const BlockTimeline& tl : prof.timelines) {
-    emit_block_timeline(emit, arch, tl, tl.seq,
+    emit_block_timeline(w, arch, tl, tl.seq,
                         strf("block (%u,%u,%u)", tl.block.x, tl.block.y,
                              tl.block.z));
   }
-  out += "\n]}";
-  return out;
+  return end_trace(w);
 }
 
 std::string unified_chrome_trace_json(
     const sim::Arch& arch, const std::vector<ServingTraceSpan>& serving,
     const std::vector<DeviceTraceSlice>& devices,
     const std::vector<LabeledTimeline>& blocks) {
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  Emit emit = [&](std::string ev) {
-    if (!first) out += ",\n";
-    first = false;
-    out += ev;
-  };
+  JsonWriter w;
+  begin_trace(w);
 
   // ---- serving tier: pid 0, B/E spans, one lane per thread -------------
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-       "\"tid\": 0, \"args\": {\"name\": \"serving\"}}");
+  name_event(w, "process_name", 0, 0, "serving");
   std::map<u64, std::vector<const ServingTraceSpan*>> lanes;
   for (const ServingTraceSpan& sp : serving) lanes[sp.lane].push_back(&sp);
   for (auto& [lane, spans] : lanes) {
-    emit(strf("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-              "\"tid\": %llu, \"args\": {\"name\": \"%s\"}}",
-              (unsigned long long)lane,
-              escape(spans.front()->lane_name).c_str()));
+    name_event(w, "thread_name", 0, lane, spans.front()->lane_name);
     // Spans on a lane nest by construction; sort outer-first (earlier
     // begin, then longer) and emit B/E with an explicit stack so every
     // inner end precedes its enclosing end.
@@ -146,23 +145,20 @@ std::string unified_chrome_trace_json(
     std::vector<const ServingTraceSpan*> stack;
     auto close_until = [&](double ts) {
       while (!stack.empty() && stack.back()->end_us <= ts) {
-        emit(strf("{\"name\": \"%s\", \"ph\": \"E\", \"pid\": 0, "
-                  "\"tid\": %llu, \"ts\": %.3f}",
-                  escape(stack.back()->name).c_str(),
-                  (unsigned long long)lane, stack.back()->end_us));
+        event(w, stack.back()->name, "E", 0)
+            .kv("tid", lane)
+            .kv("ts", stack.back()->end_us)
+            .end_object();
         stack.pop_back();
       }
     };
     for (const ServingTraceSpan* sp : spans) {
       close_until(sp->begin_us);
-      const double end = std::max(sp->end_us, sp->begin_us);
-      emit(strf("{\"name\": \"%s\", \"ph\": \"B\", \"pid\": 0, "
-                "\"tid\": %llu, \"ts\": %.3f}",
-                escape(sp->name).c_str(), (unsigned long long)lane,
-                sp->begin_us));
+      event(w, sp->name, "B", 0)
+          .kv("tid", lane)
+          .kv("ts", sp->begin_us)
+          .end_object();
       stack.push_back(sp);
-      // Keep the stack consistent even for zero-width spans.
-      (void)end;
     }
     close_until(1e300);
   }
@@ -173,40 +169,40 @@ std::string unified_chrome_trace_json(
     devs[sl.device][sl.transfer ? 0 : 1].push_back(&sl);
   }
   for (auto& [dev, tids] : devs) {
-    const unsigned long long pid = 100ull + dev;
-    emit(strf("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %llu, "
-              "\"tid\": 0, \"args\": {\"name\": \"device %u\"}}",
-              pid, dev));
+    const u64 pid = 100ull + dev;
+    name_event(w, "process_name", pid, 0, strf("device %u", dev));
     for (auto& [tid, slices] : tids) {
-      emit(strf("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": %llu, "
-                "\"tid\": %d, \"args\": {\"name\": \"%s\"}}",
-                pid, tid, tid == 0 ? "transfer" : "compute"));
+      name_event(w, "thread_name", pid, tid,
+                 tid == 0 ? "transfer" : "compute");
       std::stable_sort(slices.begin(), slices.end(),
                        [](const DeviceTraceSlice* a,
                           const DeviceTraceSlice* b) {
                          return a->begin_us < b->begin_us;
                        });
       for (const DeviceTraceSlice* sl : slices) {
-        emit(strf("{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %llu, "
-                  "\"tid\": %d, \"ts\": %.6f, \"dur\": %.6f, "
-                  "\"args\": {\"bytes\": %llu}}",
-                  escape(sl->name).c_str(), pid, tid, sl->begin_us,
-                  sl->dur_us, (unsigned long long)sl->bytes));
+        event(w, sl->name, "X", pid)
+            .kv("tid", tid)
+            .kv("ts", sl->begin_us)
+            .kv("dur", sl->dur_us)
+            .key("args")
+            .begin_object()
+            .kv("bytes", sl->bytes)
+            .end_object()
+            .end_object();
       }
     }
   }
 
   // ---- block tier: pid 1000+i, the §7 phase timelines ------------------
-  unsigned long long next = 1000;
+  u64 next = 1000;
   for (const LabeledTimeline& lt : blocks) {
     const BlockTimeline& tl = lt.timeline;
-    emit_block_timeline(emit, arch, tl, next++,
+    emit_block_timeline(w, arch, tl, next++,
                         strf("block %s (%u,%u,%u)", lt.label.c_str(),
                              tl.block.x, tl.block.y, tl.block.z));
   }
 
-  out += "\n]}";
-  return out;
+  return end_trace(w);
 }
 
 }  // namespace kconv::profile

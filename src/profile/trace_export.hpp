@@ -47,7 +47,7 @@ struct ServingTraceSpan {
 /// One priced interval on a device's transfer or compute thread.
 struct DeviceTraceSlice {
   u32 device = 0;
-  bool transfer = false;
+  bool transfer = false;  ///< true = transfer lane, false = compute lane
   std::string name;
   double begin_us = 0.0;
   double dur_us = 0.0;

@@ -382,9 +382,10 @@ GraphRun run_graph(sim::Device& dev, const Graph& g,
     if (tel.on() && n.kind != OpKind::Input) {
       node_span = tel.sink->begin_span(
           tel.trace, tel.parent, "graph", strf("node:%s", n.name.c_str()),
-          strf("{\"kind\":\"%s\",\"fused\":%s}", op_name(n.kind),
-               fuse_with[static_cast<std::size_t>(i)] >= 0 ? "true"
-                                                           : "false"));
+          [&](JsonWriter& a) {
+            a.kv("kind", op_name(n.kind))
+                .kv("fused", fuse_with[static_cast<std::size_t>(i)] >= 0);
+          });
     }
     // Launch options for this node's kernels, scoped under its span.
     const auto scoped = [&](const sim::LaunchOptions& base) {

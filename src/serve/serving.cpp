@@ -26,13 +26,13 @@ u64 ServingDriver::enqueue(const Network& net, tensor::Tensor input) {
     // first-class interval in the unified trace.
     const u64 trace = id + 1;
     p.request_span = opt_.telemetry->begin_span(
-        trace, 0, "serving", "request",
-        strf("{\"id\":%llu,\"network\":\"%s\","
-             "\"shape\":\"%lldx%lldx%lld\"}",
-             static_cast<unsigned long long>(id), net.name.c_str(),
-             static_cast<long long>(p.input.c()),
-             static_cast<long long>(p.input.h()),
-             static_cast<long long>(p.input.w())));
+        trace, 0, "serving", "request", [&](JsonWriter& a) {
+          a.kv("id", id).kv("network", net.name).kv(
+              "shape", strf("%lldx%lldx%lld",
+                            static_cast<long long>(p.input.c()),
+                            static_cast<long long>(p.input.h()),
+                            static_cast<long long>(p.input.w())));
+        });
     p.queued_span = opt_.telemetry->begin_span(trace, p.request_span,
                                                "serving", "queued");
   }
@@ -108,7 +108,7 @@ std::vector<ServeReply> ServingDriver::drain() {
                static_cast<long long>(batch.shape.c),
                static_cast<long long>(batch.shape.h),
                static_cast<long long>(batch.shape.w)),
-          strf("{\"requests\":%zu}", batch.requests)));
+          [&](JsonWriter& a) { a.kv("requests", batch.requests); }));
     }
   }
   // One simulated device per request: requests are independent and the

@@ -7,7 +7,6 @@
 
 #include "src/analysis/hazard.hpp"
 #include "src/analysis/lint.hpp"
-#include "src/common/strutil.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/sim/plan_cache.hpp"
 #include "src/sim/plan_io.hpp"
@@ -151,9 +150,11 @@ LaunchResult launch_impl(Device& dev, const KernelBody& body,
                                      : "serial";
     tel_span = tel.sink->begin_span(
         tel.trace, tel.parent, "launch", "launch",
-        strf("{\"blocks\":%llu,\"mode\":\"%s\",\"devices\":%u}",
-             static_cast<unsigned long long>(res.blocks_total), mode,
-             fleet_on ? opt.fleet.devices : 1u));
+        [&](JsonWriter& a) {
+          a.kv("blocks", res.blocks_total)
+              .kv("mode", mode)
+              .kv("devices", fleet_on ? opt.fleet.devices : 1u);
+        });
   }
 
   // Cross-launch plan persistence (docs/MODEL.md §5d). A warm plan seeds

@@ -125,130 +125,103 @@ std::string format_report(const Arch& arch, const LaunchResult& res) {
   return out;
 }
 
-std::string fleet_to_json(const FleetResult& f, int indent) {
-  const std::string pad(indent, ' ');
-  const std::string pad2(indent + 2, ' ');
-  const std::string pad4(indent + 4, ' ');
-  std::string out = "{\n";
-  out += pad2 + strf("\"devices\": %u,\n", f.devices);
-  out += pad2 + strf("\"shard\": \"%s\",\n", shard_name(f.strategy));
-  out += pad2 + strf("\"interconnect\": \"%s\",\n", f.interconnect.c_str());
-  out += pad2 + strf("\"p2p\": %s,\n", f.p2p ? "true" : "false");
-  out += pad2 + strf("\"seconds\": %.9g,\n", f.seconds);
-  out += pad2 + strf("\"transfer_seconds\": %.9g,\n", f.transfer_seconds);
-  out += pad2 + strf("\"compute_seconds\": %.9g,\n", f.compute_seconds);
-  out += pad2 + strf("\"h2d_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(f.h2d_bytes));
-  out += pad2 + strf("\"d2h_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(f.d2h_bytes));
-  out += pad2 + strf("\"d2d_bytes\": %llu,\n",
-                     static_cast<unsigned long long>(f.d2d_bytes));
-  out += pad2 + strf("\"interdevice_bound_bytes\": %.9g,\n",
-                     f.interdevice_bound_bytes);
-  out += pad2 + strf("\"interdevice_moved_bytes\": %.9g,\n",
-                     f.interdevice_moved_bytes);
-  out += pad2 + strf("\"interdevice_ratio\": %.6g,\n", f.interdevice_ratio);
-  out += pad2 + strf("\"interdevice_verdict\": \"%s\",\n",
-                     f.interdevice_verdict.c_str());
-  out += pad2 + strf("\"interlevel_bound_bytes\": %.9g,\n",
-                     f.interlevel_bound_bytes);
-  out += pad2 + strf("\"interlevel_moved_bytes\": %.9g,\n",
-                     f.interlevel_moved_bytes);
-  out += pad2 + strf("\"interlevel_ratio\": %.6g,\n", f.interlevel_ratio);
-  out += pad2 + strf("\"interlevel_verdict\": \"%s\",\n",
-                     f.interlevel_verdict.c_str());
-  out += pad2 + "\"device_reports\": [\n";
-  for (std::size_t i = 0; i < f.device_reports.size(); ++i) {
-    const FleetDeviceReport& d = f.device_reports[i];
-    out += pad4 +
-           strf("{\"device\": %u, \"blocks\": %llu, \"h2d_bytes\": %llu, "
-                "\"d2h_bytes\": %llu, \"d2d_bytes\": %llu, "
-                "\"transfer_seconds\": %.9g, \"compute_seconds\": %.9g, "
-                "\"comm_bound_bytes\": %.9g, \"comm_ratio\": %.6g}%s\n",
-                d.device, static_cast<unsigned long long>(d.blocks),
-                static_cast<unsigned long long>(d.ledger.h2d_bytes),
-                static_cast<unsigned long long>(d.ledger.d2h_bytes),
-                static_cast<unsigned long long>(d.ledger.d2d_bytes),
-                d.transfer_seconds, d.compute_seconds, d.comm_bound_bytes,
-                d.comm_ratio,
-                i + 1 < f.device_reports.size() ? "," : "");
+void fleet_to_json(JsonWriter& w, const FleetResult& f) {
+  w.begin_object()
+      .kv("devices", f.devices)
+      .kv("shard", shard_name(f.strategy))
+      .kv("interconnect", f.interconnect)
+      .kv("p2p", f.p2p)
+      .kv("seconds", f.seconds)
+      .kv("transfer_seconds", f.transfer_seconds)
+      .kv("compute_seconds", f.compute_seconds)
+      .kv("h2d_bytes", f.h2d_bytes)
+      .kv("d2h_bytes", f.d2h_bytes)
+      .kv("d2d_bytes", f.d2d_bytes)
+      .kv("interdevice_bound_bytes", f.interdevice_bound_bytes)
+      .kv("interdevice_moved_bytes", f.interdevice_moved_bytes)
+      .kv("interdevice_ratio", f.interdevice_ratio)
+      .kv("interdevice_verdict", f.interdevice_verdict)
+      .kv("interlevel_bound_bytes", f.interlevel_bound_bytes)
+      .kv("interlevel_moved_bytes", f.interlevel_moved_bytes)
+      .kv("interlevel_ratio", f.interlevel_ratio)
+      .kv("interlevel_verdict", f.interlevel_verdict)
+      .key("device_reports")
+      .begin_array();
+  for (const FleetDeviceReport& d : f.device_reports) {
+    w.begin_object()
+        .kv("device", d.device)
+        .kv("blocks", d.blocks)
+        .kv("h2d_bytes", d.ledger.h2d_bytes)
+        .kv("d2h_bytes", d.ledger.d2h_bytes)
+        .kv("d2d_bytes", d.ledger.d2d_bytes)
+        .kv("transfer_seconds", d.transfer_seconds)
+        .kv("compute_seconds", d.compute_seconds)
+        .kv("comm_bound_bytes", d.comm_bound_bytes)
+        .kv("comm_ratio", d.comm_ratio)
+        .end_object();
   }
-  out += pad2 + "]\n";
-  out += pad + "}";
-  return out;
+  w.end_array().end_object();
+}
+
+void launch_json_members(JsonWriter& w, const Arch& arch,
+                         const LaunchResult& res) {
+  const KernelStats& s = res.stats;
+  const TimingEstimate& t = res.timing;
+  w.kv("arch", arch.name)
+      .kv("blocks_total", res.blocks_total)
+      .kv("blocks_executed", res.blocks_executed)
+      .kv("sampled", res.sampled)
+      .kv("analytic", res.analytic)
+      .kv("blocks_replayed", res.blocks_replayed);
+  if (!res.plan_cache_status.empty()) {
+    w.kv("plan_cache_hit", res.plan_cache_hit)
+        .kv("plan_cache_status", res.plan_cache_status);
+  }
+  w.kv("seconds", t.seconds)
+      .kv("gflops", t.gflops)
+      .kv("bound", t.bound)
+      .kv("occupancy_blocks_per_sm", t.occupancy.blocks_per_sm)
+      .key("pipes")
+      .begin_object()
+      .kv("compute", t.pipe_compute)
+      .kv("issue", t.pipe_issue)
+      .kv("smem", t.pipe_smem)
+      .kv("gmem", t.pipe_gmem)
+      .kv("const", t.pipe_const)
+      .kv("latency_floor", t.latency_floor)
+      .end_object()
+      .kv("fma_lane_ops", s.fma_lane_ops)
+      .kv("smem_instrs", s.smem_instrs)
+      .kv("smem_request_cycles", s.smem_request_cycles)
+      .kv("smem_lane_bytes", s.smem_lane_bytes)
+      .kv("smem_store_instrs", s.smem_store_instrs)
+      .kv("smem_store_request_cycles", s.smem_store_request_cycles)
+      .kv("gm_sectors", s.gm_sectors)
+      .kv("gm_sectors_dram", s.gm_sectors_dram)
+      .kv("const_requests", s.const_requests)
+      .kv("pattern_lookups", s.pattern_lookups)
+      .kv("pattern_hits", s.pattern_hits)
+      .kv("barriers", s.barriers);
+  if (res.fleet.enabled) {
+    w.key("fleet");
+    fleet_to_json(w, res.fleet);
+  }
+  if (res.analysis.hazard_checked || res.analysis.linted) {
+    w.key("analysis");
+    analysis::to_json(w, res.analysis);
+  }
+  if (res.profile.enabled) {
+    w.key("profile");
+    profile::profile_to_json(w, arch, res.profile);
+  }
 }
 
 std::string to_json(const Arch& arch, const LaunchResult& res) {
-  const KernelStats& s = res.stats;
-  const TimingEstimate& t = res.timing;
-  std::string out = "{\n";
-  out += strf("  \"arch\": \"%s\",\n", arch.name.c_str());
-  out += strf("  \"blocks_total\": %llu,\n",
-              static_cast<unsigned long long>(res.blocks_total));
-  out += strf("  \"blocks_executed\": %llu,\n",
-              static_cast<unsigned long long>(res.blocks_executed));
-  out += strf("  \"sampled\": %s,\n", res.sampled ? "true" : "false");
-  out += strf("  \"analytic\": %s,\n", res.analytic ? "true" : "false");
-  out += strf("  \"blocks_replayed\": %llu,\n",
-              static_cast<unsigned long long>(res.blocks_replayed));
-  if (!res.plan_cache_status.empty()) {
-    out += strf("  \"plan_cache_hit\": %s,\n",
-                res.plan_cache_hit ? "true" : "false");
-    out += strf("  \"plan_cache_status\": \"%s\",\n",
-                res.plan_cache_status.c_str());
-  }
-  out += strf("  \"seconds\": %.9g,\n", t.seconds);
-  out += strf("  \"gflops\": %.6g,\n", t.gflops);
-  out += strf("  \"bound\": \"%s\",\n", t.bound.c_str());
-  out += strf("  \"occupancy_blocks_per_sm\": %u,\n",
-              t.occupancy.blocks_per_sm);
-  out += strf("  \"pipes\": {\"compute\": %.6g, \"issue\": %.6g, "
-              "\"smem\": %.6g, \"gmem\": %.6g, \"const\": %.6g, "
-              "\"latency_floor\": %.6g},\n",
-              t.pipe_compute, t.pipe_issue, t.pipe_smem, t.pipe_gmem,
-              t.pipe_const, t.latency_floor);
-  out += strf("  \"fma_lane_ops\": %llu,\n",
-              static_cast<unsigned long long>(s.fma_lane_ops));
-  out += strf("  \"smem_instrs\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_instrs));
-  out += strf("  \"smem_request_cycles\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_request_cycles));
-  out += strf("  \"smem_lane_bytes\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_lane_bytes));
-  out += strf("  \"smem_store_instrs\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_instrs));
-  out += strf("  \"smem_store_request_cycles\": %llu,\n",
-              static_cast<unsigned long long>(s.smem_store_request_cycles));
-  out += strf("  \"gm_sectors\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_sectors));
-  out += strf("  \"gm_sectors_dram\": %llu,\n",
-              static_cast<unsigned long long>(s.gm_sectors_dram));
-  out += strf("  \"const_requests\": %llu,\n",
-              static_cast<unsigned long long>(s.const_requests));
-  out += strf("  \"pattern_lookups\": %llu,\n",
-              static_cast<unsigned long long>(s.pattern_lookups));
-  out += strf("  \"pattern_hits\": %llu,\n",
-              static_cast<unsigned long long>(s.pattern_hits));
-  const bool with_analysis = res.analysis.hazard_checked || res.analysis.linted;
-  const bool with_profile = res.profile.enabled;
-  const bool with_fleet = res.fleet.enabled;
-  out += strf("  \"barriers\": %llu%s\n",
-              static_cast<unsigned long long>(s.barriers),
-              with_analysis || with_profile || with_fleet ? "," : "");
-  if (with_fleet) {
-    out += "  \"fleet\": " + fleet_to_json(res.fleet, 2) +
-           (with_analysis || with_profile ? ",\n" : "\n");
-  }
-  if (with_analysis) {
-    out += "  \"analysis\": " + analysis::to_json(res.analysis, 2) +
-           (with_profile ? ",\n" : "\n");
-  }
-  if (with_profile) {
-    out += "  \"profile\": " + profile::profile_to_json(arch, res.profile, 2) +
-           "\n";
-  }
-  out += "}";
-  return out;
+  JsonWriter w;
+  w.begin_object();
+  launch_json_members(w, arch, res);
+  w.end_object();
+  return w.str();
 }
 
 std::string format_brief(const LaunchResult& res) {

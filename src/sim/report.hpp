@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "src/common/json.hpp"
 #include "src/sim/arch.hpp"
 #include "src/sim/launch.hpp"
 
@@ -18,8 +19,12 @@ std::string format_brief(const LaunchResult& res);
 /// the hook for external analysis/plotting of simulator runs.
 std::string to_json(const Arch& arch, const LaunchResult& res);
 
-/// JSON object for a fleet report (the `fleet` block of to_json; also used
-/// by bench_fleet_scaling). `indent` is the caller's current indent depth.
-std::string fleet_to_json(const FleetResult& f, int indent);
+/// The members of to_json's object, written into an object the caller has
+/// open (the CLI appends its static_analysis block after them).
+void launch_json_members(JsonWriter& w, const Arch& arch,
+                         const LaunchResult& res);
+
+/// JSON object for a fleet report (the `fleet` block of to_json).
+void fleet_to_json(JsonWriter& w, const FleetResult& f);
 
 }  // namespace kconv::sim

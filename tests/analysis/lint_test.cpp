@@ -10,8 +10,8 @@ namespace {
 
 using sim::kepler_k40m;
 
-bool has_kind(const std::vector<LintFinding>& lints, LintKind k) {
-  for (const LintFinding& f : lints) {
+bool has_kind(const std::vector<Finding>& lints, FindingKind k) {
+  for (const Finding& f : lints) {
     if (f.kind == k) return true;
   }
   return false;
@@ -36,7 +36,7 @@ TEST(Lint, ScalarLaneWidthOnWideBanksTrips) {
   s.smem_instrs = 1000;
   s.smem_lane_bytes = 1000ull * arch.warp_size * 4;  // scalar floats
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  ASSERT_TRUE(has_kind(lints, LintKind::BankWidthMismatch));
+  ASSERT_TRUE(has_kind(lints, FindingKind::BankWidthMismatch));
   EXPECT_EQ(lints.front().severity, Severity::Warning);
   EXPECT_DOUBLE_EQ(lints.front().value, 4.0);
   EXPECT_FALSE(lints.front().remediation.empty());
@@ -48,7 +48,7 @@ TEST(Lint, MatchedLaneWidthIsQuiet) {
   s.smem_instrs = 1000;
   s.smem_lane_bytes = 1000ull * arch.warp_size * 8;  // float2 units
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  EXPECT_FALSE(has_kind(lints, LintKind::BankWidthMismatch));
+  EXPECT_FALSE(has_kind(lints, FindingKind::BankWidthMismatch));
 }
 
 TEST(Lint, ScalarWidthOnFourByteBanksIsMatched) {
@@ -58,7 +58,7 @@ TEST(Lint, ScalarWidthOnFourByteBanksIsMatched) {
   s.smem_instrs = 1000;
   s.smem_lane_bytes = 1000ull * arch.warp_size * 4;
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  EXPECT_FALSE(has_kind(lints, LintKind::BankWidthMismatch));
+  EXPECT_FALSE(has_kind(lints, FindingKind::BankWidthMismatch));
 }
 
 TEST(Lint, TinyLaunchesAreBelowTheNoiseFloor) {
@@ -83,7 +83,7 @@ TEST(Lint, StoreConflictReplaysTripDespiteCleanLoads) {
   s.smem_store_request_cycles = 200 * 16;
   s.smem_lane_bytes = 1200ull * arch.warp_size * 8;
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  ASSERT_TRUE(has_kind(lints, LintKind::BankConflictReplays));
+  ASSERT_TRUE(has_kind(lints, FindingKind::BankConflictReplays));
   EXPECT_DOUBLE_EQ(lints.front().value, 16.0);
   EXPECT_NE(lints.front().message.find("stores"), std::string::npos);
 }
@@ -95,7 +95,7 @@ TEST(Lint, LoadConflictReplaysTrip) {
   s.smem_request_cycles = 8000;  // 8-way load conflicts
   s.smem_lane_bytes = 1000ull * arch.warp_size * 8;
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  ASSERT_TRUE(has_kind(lints, LintKind::BankConflictReplays));
+  ASSERT_TRUE(has_kind(lints, FindingKind::BankConflictReplays));
   EXPECT_NE(lints.front().message.find("loads"), std::string::npos);
 }
 
@@ -110,7 +110,7 @@ TEST(Lint, BoundedBoundaryConflictsStayUnderThreshold) {
   s.smem_store_request_cycles = 400 * 2;
   s.smem_lane_bytes = 1000ull * arch.warp_size * 8;
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  EXPECT_FALSE(has_kind(lints, LintKind::BankConflictReplays));
+  EXPECT_FALSE(has_kind(lints, FindingKind::BankConflictReplays));
 }
 
 TEST(Lint, GmOverfetchTrips) {
@@ -121,7 +121,7 @@ TEST(Lint, GmOverfetchTrips) {
   // Each 4 B lane access pulled its own 32 B sector: 8x overfetch.
   s.gm_sectors = 1000ull * 32;
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  ASSERT_TRUE(has_kind(lints, LintKind::UncoalescedGmem));
+  ASSERT_TRUE(has_kind(lints, FindingKind::UncoalescedGmem));
   EXPECT_DOUBLE_EQ(lints.front().value, 8.0);
 }
 
@@ -132,7 +132,7 @@ TEST(Lint, CoalescedGmIsQuiet) {
   s.gm_bytes_useful = 1000ull * 128;
   s.gm_sectors = 1000ull * 4;  // exactly the 4 sectors a 128 B request needs
   const auto lints = lint_stats(arch, block256(), s, sim::TimingEstimate{});
-  EXPECT_FALSE(has_kind(lints, LintKind::UncoalescedGmem));
+  EXPECT_FALSE(has_kind(lints, FindingKind::UncoalescedGmem));
 }
 
 TEST(Lint, SmemOccupancyCapIsAdvisoryInfo) {
@@ -141,7 +141,7 @@ TEST(Lint, SmemOccupancyCapIsAdvisoryInfo) {
   t.occupancy.fraction = 0.25;
   const auto lints =
       lint_stats(kepler_k40m(), block256(), sim::KernelStats{}, t);
-  ASSERT_TRUE(has_kind(lints, LintKind::SmemOccupancyCap));
+  ASSERT_TRUE(has_kind(lints, FindingKind::SmemOccupancyCap));
   EXPECT_EQ(lints.front().severity, Severity::Info);
   // Info findings are advisory: a report carrying only them stays clean.
   AnalysisReport rep;
@@ -156,7 +156,7 @@ TEST(Lint, LowOccupancyFromOtherLimitersIsQuiet) {
   t.occupancy.fraction = 0.25;
   const auto lints =
       lint_stats(kepler_k40m(), block256(), sim::KernelStats{}, t);
-  EXPECT_FALSE(has_kind(lints, LintKind::SmemOccupancyCap));
+  EXPECT_FALSE(has_kind(lints, FindingKind::SmemOccupancyCap));
 }
 
 TEST(Lint, SerializedConstantReadsTrip) {
@@ -165,7 +165,7 @@ TEST(Lint, SerializedConstantReadsTrip) {
   s.const_requests = 4000;  // lanes diverge 4-way on CM addresses
   const auto lints =
       lint_stats(kepler_k40m(), block256(), s, sim::TimingEstimate{});
-  ASSERT_TRUE(has_kind(lints, LintKind::LowCmBroadcast));
+  ASSERT_TRUE(has_kind(lints, FindingKind::LowCmBroadcast));
   EXPECT_DOUBLE_EQ(lints.front().value, 4.0);
 }
 
@@ -175,7 +175,7 @@ TEST(Lint, BroadcastConstantReadsAreQuiet) {
   s.const_requests = 1000;
   const auto lints =
       lint_stats(kepler_k40m(), block256(), s, sim::TimingEstimate{});
-  EXPECT_FALSE(has_kind(lints, LintKind::LowCmBroadcast));
+  EXPECT_FALSE(has_kind(lints, FindingKind::LowCmBroadcast));
 }
 
 TEST(Lint, CustomThresholdsArePinnable) {
@@ -186,7 +186,7 @@ TEST(Lint, CustomThresholdsArePinnable) {
   th.const_requests_per_instr = 1.3;
   const auto lints =
       lint_stats(kepler_k40m(), block256(), s, sim::TimingEstimate{}, th);
-  ASSERT_TRUE(has_kind(lints, LintKind::LowCmBroadcast));
+  ASSERT_TRUE(has_kind(lints, FindingKind::LowCmBroadcast));
   EXPECT_DOUBLE_EQ(lints.front().threshold, 1.3);
 }
 

@@ -12,8 +12,8 @@
 namespace kconv::analysis {
 namespace {
 
-bool has_lint(const AnalysisReport& rep, LintKind k) {
-  for (const LintFinding& f : rep.lints) {
+bool has_lint(const AnalysisReport& rep, FindingKind k) {
+  for (const Finding& f : rep.lints) {
     if (f.kind == k) return true;
   }
   return false;
@@ -123,9 +123,9 @@ TEST(SeededDefects, PadRemovedTripsBankConflictLint) {
   const auto res =
       kernels::general_conv(dev, img, flt, defect, check_opts());
   EXPECT_FALSE(res.launch.analysis.clean());
-  ASSERT_TRUE(has_lint(res.launch.analysis, LintKind::BankConflictReplays));
-  for (const LintFinding& f : res.launch.analysis.lints) {
-    if (f.kind != LintKind::BankConflictReplays) continue;
+  ASSERT_TRUE(has_lint(res.launch.analysis, FindingKind::BankConflictReplays));
+  for (const Finding& f : res.launch.analysis.lints) {
+    if (f.kind != FindingKind::BankConflictReplays) continue;
     EXPECT_EQ(f.severity, Severity::Warning);
     // The unpadded transposed store serializes most of the warp: far above
     // any boundary-conflict noise.
@@ -136,7 +136,8 @@ TEST(SeededDefects, PadRemovedTripsBankConflictLint) {
   const auto clean =
       kernels::general_conv(dev, img, flt, shipping, check_opts());
   EXPECT_TRUE(clean.launch.analysis.clean());
-  EXPECT_FALSE(has_lint(clean.launch.analysis, LintKind::BankConflictReplays));
+  EXPECT_FALSE(
+      has_lint(clean.launch.analysis, FindingKind::BankConflictReplays));
 }
 
 // --- Defect 3: scalar-ized loads (W_CD < W_SMB, §2.1) ---------------------
@@ -151,14 +152,14 @@ TEST(SeededDefects, ScalarizedLoadsTripBankWidthLint) {
   const auto res =
       kernels::special_conv(dev, img, flt, defect, check_opts());
   EXPECT_FALSE(res.launch.analysis.clean());
-  EXPECT_TRUE(has_lint(res.launch.analysis, LintKind::BankWidthMismatch));
+  EXPECT_TRUE(has_lint(res.launch.analysis, FindingKind::BankWidthMismatch));
   EXPECT_EQ(res.launch.analysis.races_total, 0u);
 
   kernels::SpecialConvConfig shipping;  // vec_width 0 = match the bank width
   const auto clean =
       kernels::special_conv(dev, img, flt, shipping, check_opts());
   EXPECT_TRUE(clean.launch.analysis.clean());
-  EXPECT_FALSE(has_lint(clean.launch.analysis, LintKind::BankWidthMismatch));
+  EXPECT_FALSE(has_lint(clean.launch.analysis, FindingKind::BankWidthMismatch));
 }
 
 // --- Shipping kernels stay clean under --check ----------------------------

@@ -136,8 +136,8 @@ TEST(XraySpecial, UnmatchedWidthFlaggedOnKeplerOnly) {
   const StaticReport rep =
       analyze(kepler, kernels::special_conv_xray(kepler, 3, 8, 64, 64, cfg));
   bool width = false;
-  for (const Finding& f : rep.findings) {
-    if (f.kind == "bank-width-mismatch") {
+  for (const analysis::Finding& f : rep.findings) {
+    if (f.kind == analysis::FindingKind::BankWidthMismatch) {
       width = true;
       EXPECT_EQ(f.severity, analysis::Severity::Warning);
       EXPECT_FALSE(f.citation.empty());
@@ -151,8 +151,9 @@ TEST(XraySpecial, UnmatchedWidthFlaggedOnKeplerOnly) {
   const sim::Arch fermi = sim::fermi_m2090();
   const StaticReport ok =
       analyze(fermi, kernels::special_conv_xray(fermi, 3, 8, 64, 64, cfg));
-  for (const Finding& f : ok.findings) {
-    EXPECT_NE(f.kind, "bank-width-mismatch") << format_static(ok);
+  for (const analysis::Finding& f : ok.findings) {
+    EXPECT_NE(f.kind, analysis::FindingKind::BankWidthMismatch)
+        << format_static(ok);
   }
 }
 
@@ -252,8 +253,9 @@ TEST(XrayGeneral, UnpaddedFilterStoreFlagged) {
   const StaticReport rep =
       analyze(arch, kernels::general_conv_xray(arch, 3, 2, 64, 18, 34, cfg));
   bool flagged = false;
-  for (const Finding& f : rep.findings) {
-    if (f.kind == "bank-conflict-replays" && f.site == "sm-flt-stage") {
+  for (const analysis::Finding& f : rep.findings) {
+    if (f.kind == analysis::FindingKind::BankConflictReplays &&
+        f.site == "sm-flt-stage") {
       flagged = true;
       EXPECT_GT(f.value, 2.0);
       EXPECT_FALSE(f.citation.empty());
@@ -265,8 +267,9 @@ TEST(XrayGeneral, UnpaddedFilterStoreFlagged) {
   const StaticReport ok = analyze(
       arch, kernels::general_conv_xray(arch, 3, 2, 64, 18, 34,
                                        kernels::table1_config(3)));
-  for (const Finding& f : ok.findings) {
-    EXPECT_NE(f.kind, "bank-conflict-replays") << format_static(ok);
+  for (const analysis::Finding& f : ok.findings) {
+    EXPECT_NE(f.kind, analysis::FindingKind::BankConflictReplays)
+        << format_static(ok);
   }
 }
 
@@ -503,8 +506,11 @@ TEST(XrayReport, JsonRoundTripMatchesStaticAnalysisSchema) {
       kernels::general_conv_xray(arch, 3, 4, 8, 18, 20, {16, 4, 8, 8, 4, 2}));
 
   // Exactly how kconv_cli --xray --json embeds it.
-  const std::string doc = "{\"static_analysis\": " + to_json(rep, 2) + "}";
-  const auto root = JsonReader(doc).parse();
+  JsonWriter w;
+  w.begin_object().key("static_analysis");
+  to_json(w, rep);
+  w.end_object();
+  const auto root = JsonReader(w.str()).parse();
   ASSERT_EQ(root->type, JsonValue::Type::Object);
   const JsonValue& d = field(*root, "static_analysis");
   ASSERT_EQ(d.type, JsonValue::Type::Object);
@@ -579,7 +585,8 @@ TEST(XrayReport, FormatAndJsonCarryVerdictAndSites) {
   EXPECT_NE(text.find("=== kconv-xray ==="), std::string::npos);
   EXPECT_NE(text.find("verdict: PASS"), std::string::npos);
   EXPECT_NE(text.find("sm-stage-main"), std::string::npos);
-  const std::string js = to_json(rep);
+  const std::string js =
+      testsupport::write_json([&](JsonWriter& w) { to_json(w, rep); });
   EXPECT_NE(js.find("\"signature\""), std::string::npos);
   EXPECT_NE(js.find("\"proven-disjoint\""), std::string::npos);
 }

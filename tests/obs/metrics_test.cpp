@@ -22,6 +22,10 @@
 namespace kconv::obs {
 namespace {
 
+std::string json(const Histogram& h) {
+  return testsupport::write_json([&](JsonWriter& w) { h.to_json(w); });
+}
+
 double oracle_percentile(std::vector<double> v, double q) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
@@ -100,8 +104,8 @@ TEST(Histogram, MergeIsOrderInvariantAndAssociative) {
   ba.merge(a);
   right.merge(c);
   right.merge(ba);
-  EXPECT_EQ(all.to_json(), left.to_json());
-  EXPECT_EQ(all.to_json(), right.to_json());
+  EXPECT_EQ(json(all), json(left));
+  EXPECT_EQ(json(all), json(right));
   for (double q : {0.5, 0.95, 0.99}) {
     EXPECT_EQ(all.percentile(q), left.percentile(q));
     EXPECT_EQ(all.percentile(q), right.percentile(q));
@@ -133,13 +137,13 @@ TEST(Histogram, SpillDegradesToBucketUpperBound) {
   Histogram m2 = h;
   m2.merge(exact);
   EXPECT_FALSE(m1.exact());
-  EXPECT_EQ(m1.to_json(), m2.to_json());
+  EXPECT_EQ(json(m1), json(m2));
 }
 
 TEST(Histogram, JsonRoundTripsAndPinsSchema) {
   Histogram h;
   for (double v : latency_like_samples(50, 9)) h.add(v);
-  const auto doc = testsupport::JsonReader(h.to_json()).parse();
+  const auto doc = testsupport::JsonReader(json(h)).parse();
   ASSERT_EQ(doc->type, testsupport::JsonValue::Type::Object);
   for (const char* key :
        {"count", "sum", "min", "max", "p50", "p95", "p99"}) {

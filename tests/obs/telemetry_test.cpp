@@ -123,7 +123,10 @@ void expect_equivalent(const ServeOut& off, const ServeOut& on) {
   EXPECT_EQ(off.stats.max_queue_depth, on.stats.max_queue_depth);
   EXPECT_EQ(off.stats.max_inflight_batches, on.stats.max_inflight_batches);
   EXPECT_EQ(off.stats.latency.count(), on.stats.latency.count());
-  EXPECT_EQ(off.stats.sim_latency.to_json(), on.stats.sim_latency.to_json());
+  auto json = [](const Histogram& h) {
+    return testsupport::write_json([&](JsonWriter& w) { h.to_json(w); });
+  };
+  EXPECT_EQ(json(off.stats.sim_latency), json(on.stats.sim_latency));
 }
 
 // Pre-seeds a plan store with one request so every compared request is
@@ -386,7 +389,9 @@ TEST(Telemetry, ReportBlockRoundTripsWithHealthVerdicts) {
   EXPECT_EQ(t.eviction_churn(), 0.0);
 
   const auto doc =
-      testsupport::JsonReader(telemetry_to_json(t, 0)).parse();
+      testsupport::JsonReader(testsupport::write_json([&](JsonWriter& w) {
+        telemetry_to_json(w, t);
+      })).parse();
   ASSERT_EQ(doc->type, testsupport::JsonValue::Type::Object);
   EXPECT_EQ(doc->object.at("requests")->number, 4.0);
   EXPECT_EQ(doc->object.at("warm_path_ratio")->number, 0.75);
@@ -406,9 +411,37 @@ TEST(Telemetry, ReportBlockRoundTripsWithHealthVerdicts) {
 
   // The standalone taxonomy line is valid JSON too and agrees field-wise.
   const auto tax =
-      testsupport::JsonReader(taxonomy_to_json(t.taxonomy, 2, 0)).parse();
+      testsupport::JsonReader(testsupport::write_json([&](JsonWriter& w) {
+        taxonomy_to_json(w, t.taxonomy, 2, 0);
+      })).parse();
   EXPECT_EQ(tax->object.at("launches")->number, 8.0);
   EXPECT_EQ(tax->object.at("miss")->number, 2.0);
+}
+
+TEST(Telemetry, JsonBlockEscapesUserStrings) {
+  // --telemetry-out is a user path: quotes, backslashes and control bytes
+  // in it must come back intact from the `telemetry` block.
+  ServingTelemetry t;
+  t.dir = "/tmp/tel\"q\\x\there";
+  t.requests = 2;
+  const auto doc = testsupport::JsonReader(testsupport::write_json(
+                       [&](JsonWriter& w) { telemetry_to_json(w, t); }))
+                       .parse();
+  EXPECT_EQ(doc->object.at("dir")->str, t.dir);
+  const auto& health = doc->object.at("health")->array;
+  const std::vector<HealthVerdict> want = health_verdicts(t);
+  ASSERT_EQ(health.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(health[i]->object.at("detail")->str, want[i].detail);
+  }
+
+  const HealthVerdict quoted{"plan-churn", "stable",
+                             "a \"quoted\" detail with a \\ and a \t"};
+  const auto v = testsupport::JsonReader(testsupport::write_json(
+                     [&](JsonWriter& w) { health_to_json(w, quoted); }))
+                     .parse();
+  EXPECT_EQ(v->object.at("name")->str, quoted.name);
+  EXPECT_EQ(v->object.at("detail")->str, quoted.detail);
 }
 
 TEST(Telemetry, UnifiedTraceExportsAllTiers) {

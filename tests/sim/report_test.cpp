@@ -18,6 +18,7 @@ namespace {
 using testsupport::JsonReader;
 using testsupport::JsonValue;
 using testsupport::field;
+using testsupport::write_json;
 
 /// A tiny kernel exercising all memory spaces so the report has content.
 class AllSpacesKernel {
@@ -247,8 +248,8 @@ TEST(Report, AnalysisJsonRecordsRoundTrip) {
   overlap.bytes = 128;
   rep.hazards.push_back(overlap);
 
-  analysis::LintFinding lint;
-  lint.kind = analysis::LintKind::BankConflictReplays;
+  analysis::Finding lint;
+  lint.kind = analysis::FindingKind::BankConflictReplays;
   lint.severity = analysis::Severity::Warning;
   lint.value = 15.2;
   lint.threshold = 2.5;
@@ -256,7 +257,9 @@ TEST(Report, AnalysisJsonRecordsRoundTrip) {
   lint.remediation = "pad the leading dimension by one bank";
   rep.lints.push_back(lint);
 
-  const auto a = JsonReader(analysis::to_json(rep)).parse();
+  const auto a = JsonReader(write_json([&](JsonWriter& w) {
+    analysis::to_json(w, rep);
+  })).parse();
   EXPECT_FALSE(field(*a, "clean").boolean);
   ASSERT_EQ(field(*a, "hazards").array.size(), 2u);
 
@@ -285,10 +288,10 @@ TEST(Report, AnalysisJsonRecordsRoundTrip) {
   EXPECT_EQ(field(jlint, "threshold").number, 2.5);
   EXPECT_EQ(field(jlint, "message").str, "smem stores replay 15.2x");
 
-  // Quotes in messages are escaped (the reader above keeps no escape
-  // handling, so assert on the raw text).
+  // Quotes in messages are escaped on the wire.
   rep.lints[0].message = "the \"+1\" padding trick";
-  const std::string j = analysis::to_json(rep);
+  const std::string j =
+      write_json([&](JsonWriter& w) { analysis::to_json(w, rep); });
   EXPECT_NE(j.find("the \\\"+1\\\" padding trick"), std::string::npos);
 }
 
